@@ -23,21 +23,21 @@ cargo build --release -p jouppi-lint
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+echo "==> paper claims: repro --check (exits nonzero if any claim fails)"
+./target/release/repro --check
+
 echo "==> build examples and benchmark binaries"
 cargo build --release --examples
 cargo build --release -p jouppi-bench --bin loadgen --bin sweep-bench --bin json-check
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> serve integration tests"
 cargo test --release -q -p jouppi-serve --test integration
 
-echo "==> sweep-bench smoke: fused vs per-cell schedules must agree"
+echo "==> sweep-bench smoke: single-pass engine vs per-cell oracle, fig_3_1 stability"
 ./target/release/sweep-bench --smoke
-
-echo "==> sweep-bench smoke: single-pass engines vs per-cell oracle"
-./target/release/sweep-bench --smoke --mode single_pass
 echo "    lint status: $(grep -q '"ok":true' /tmp/jouppi_lint_ci.json && echo "at baseline" || echo DIRTY) (jouppi-lint --workspace --json --baseline lint-baseline.json)"
 
 echo "==> refresh BENCH_sweep.json (timed sweep schedules)"

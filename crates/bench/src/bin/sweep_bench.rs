@@ -1,29 +1,29 @@
-//! Times full experiment sweeps under the sweep-engine schedules —
-//! `per_cell` (one task per configuration cell), `fused` (one task per
-//! (benchmark, side) gang), and `single_pass` (one Mattson traversal
-//! answering every geometry at once) — and writes `BENCH_sweep.json`.
+//! Times the paper's experiment sweeps, each on its default engine, at
+//! one and two sweep-engine threads, and writes `BENCH_sweep.json`.
 //!
-//! Usage: `sweep-bench [--smoke] [--mode MODE] [SCALE] [OUT_PATH]`
+//! Usage: `sweep-bench [--smoke] [SCALE] [OUT_PATH]`
 //!
-//! * `--smoke` — cross-check the schedules at a small scale and exit
-//!   nonzero if any pair of engines diverges; no report is written.
-//! * `--mode MODE` — `all` (default) or `single_pass`, which restricts
-//!   both the smoke checks and the timed rows to the one-pass engine
-//!   comparisons (the geometry grid plus fig_3_1's stack-depth path).
+//! * `--smoke` — at a small scale, check that `geometry_grid`'s
+//!   single-pass engine equals its per-cell oracle and that `fig_3_1` is
+//!   stable across repeat runs; exit nonzero on any divergence. No
+//!   report is written.
 //! * `SCALE` — instructions per benchmark trace (default 60000).
 //! * `OUT_PATH` — where to write the JSON report (default
 //!   `BENCH_sweep.json` in the current directory).
 //!
+//! Each row's `mode` is the engine the sweep ran on, named as
+//! `jouppi_serve::sweeps::engines_for` names it: `single_pass` for the
+//! geometry grid, `classify` for fig_3_1, and `fused` for the augmented
+//! sweeps, whose (benchmark, side) jobs classify once and then replay
+//! each configuration back to back.
+//!
 //! Traces are recorded once up front (the refs count needs them), so
 //! every timed run replays the memoized trace set — the numbers measure
 //! simulation throughput, not workload generation. Refs are counted as
-//! *work delivered*: configuration cells covered × trace references.
-//! Per-cell schedules replay exactly that many references; the fused
-//! gangs and the single-pass engine deliver the same cells from fewer
-//! traversals, so their refs/s advantage is the point of the benchmark.
-//! `fig_3_1` is classification-only (its unit of work is already one
-//! (benchmark, side) cell), so its schedule is labeled `fused` and no
-//! per-cell row exists for it.
+//! *work delivered*: configuration cells covered × trace references. The
+//! single-pass engine delivers its cells from one traversal per
+//! (benchmark, side, policy), so its refs/s is far above the replaying
+//! sweeps'.
 
 #![forbid(unsafe_code)]
 
@@ -33,11 +33,11 @@ use std::time::Instant;
 use jouppi_bench::{bench_config, render_json, Measurement};
 use jouppi_experiments::common::{record_traces, ExperimentConfig};
 use jouppi_experiments::{conflict_sweep, fig_3_1, single_pass, stream_sweep, sweep};
+use jouppi_serve::sweeps::engines_for;
 use jouppi_workloads::Scale;
 
 fn time_sweep(
     name: &'static str,
-    mode: &'static str,
     threads: usize,
     cells: u64,
     total_trace_refs: u64,
@@ -51,7 +51,7 @@ fn time_sweep(
     sweep::set_thread_count(0);
     let m = Measurement {
         sweep: name,
-        mode,
+        mode: engines_for(name)[0],
         threads,
         cells,
         refs: cells * total_trace_refs,
@@ -69,9 +69,8 @@ fn time_sweep(
     m
 }
 
-/// `--smoke`: cross-check the schedules at small scale, fail loudly on
-/// divergence. `single_pass_only` restricts to the one-pass engines.
-fn smoke(single_pass_only: bool) -> ExitCode {
+/// `--smoke`: cross-check at small scale, fail loudly on divergence.
+fn smoke() -> ExitCode {
     let cfg = ExperimentConfig::with_scale(8_000);
     let mut failures = 0usize;
     let mut check = |label: &str, ok: bool| {
@@ -80,69 +79,34 @@ fn smoke(single_pass_only: bool) -> ExitCode {
             failures += 1;
         }
     };
-    if !single_pass_only {
-        check(
-            "miss_cache_4: fused == per_cell",
-            conflict_sweep::run(&cfg, conflict_sweep::Mechanism::MissCache, 4)
-                == conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::MissCache, 4),
-        );
-        check(
-            "victim_cache_4: fused == per_cell",
-            conflict_sweep::run(&cfg, conflict_sweep::Mechanism::VictimCache, 4)
-                == conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::VictimCache, 4),
-        );
-        check(
-            "stream_single_8: fused == per_cell",
-            stream_sweep::run(&cfg, 1, 8) == stream_sweep::run_per_cell(&cfg, 1, 8),
-        );
-        check(
-            "stream_four_8: fused == per_cell",
-            stream_sweep::run(&cfg, 4, 8) == stream_sweep::run_per_cell(&cfg, 4, 8),
-        );
-        check(
-            "fig_3_1: stable across repeat runs",
-            fig_3_1::run(&cfg) == fig_3_1::run(&cfg),
-        );
-    }
     check(
         "geometry_grid: single_pass == per_cell",
         single_pass::run(&cfg) == single_pass::run_per_cell(&cfg),
     );
     check(
-        "fig_3_1: single_pass == classify",
-        fig_3_1::run_single_pass(&cfg) == fig_3_1::run(&cfg),
+        "fig_3_1: stable across repeat runs",
+        fig_3_1::run(&cfg) == fig_3_1::run(&cfg),
     );
     if failures == 0 {
-        eprintln!("smoke: all schedules agree");
+        eprintln!("smoke: all checks agree");
         ExitCode::SUCCESS
     } else {
-        eprintln!("smoke: {failures} divergence(s) between schedules");
+        eprintln!("smoke: {failures} divergence(s)");
         ExitCode::FAILURE
     }
 }
 
 fn main() -> ExitCode {
     let mut smoke_run = false;
-    let mut mode = "all".to_owned();
     let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke_run = true,
-            "--mode" => mode = args.next().expect("--mode needs a value"),
             _ => positional.push(arg),
         }
     }
-    let single_pass_only = match mode.as_str() {
-        "all" => false,
-        "single_pass" => true,
-        other => {
-            eprintln!("unknown --mode '{other}'; valid modes: all, single_pass");
-            return ExitCode::FAILURE;
-        }
-    };
     if smoke_run {
-        return smoke(single_pass_only);
+        return smoke();
     }
     let mut positional = positional.into_iter();
     let mut cfg = bench_config();
@@ -164,85 +128,33 @@ fn main() -> ExitCode {
         .iter()
         .map(|(_, t)| t.len() as u64)
         .sum();
+    let grid = || {
+        single_pass::run(&cfg);
+    };
     let fig31 = || {
         fig_3_1::run(&cfg);
     };
-    let fig31_single = || {
-        fig_3_1::run_single_pass(&cfg);
-    };
-    let victim_fused = || {
+    let victim = || {
         conflict_sweep::run(&cfg, conflict_sweep::Mechanism::VictimCache, 4);
     };
-    let victim_per_cell = || {
-        conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::VictimCache, 4);
-    };
-    let stream_fused = || {
+    let stream = || {
         stream_sweep::run(&cfg, 1, 8);
     };
-    let stream_per_cell = || {
-        stream_sweep::run_per_cell(&cfg, 1, 8);
-    };
-    let grid_single = || {
-        single_pass::run(&cfg);
-    };
-    let grid_per_cell = || {
-        single_pass::run_per_cell(&cfg);
-    };
-    let grid_cells = single_pass::cells_per_side();
-
-    // The one-pass engine rows: the full geometry grid from one
-    // traversal per (benchmark, side, policy), against the demoted
-    // per-cell oracle covering the same cells, plus fig_3_1's
-    // stack-depth path against its classifying simulator.
-    let mut runs = vec![
-        time_sweep(
-            "geometry_grid",
-            "per_cell",
-            1,
-            grid_cells,
-            total,
-            &grid_per_cell,
-        ),
-        time_sweep(
-            "geometry_grid",
-            "single_pass",
-            1,
-            grid_cells,
-            total,
-            &grid_single,
-        ),
-        time_sweep(
-            "geometry_grid",
-            "single_pass",
-            2,
-            grid_cells,
-            total,
-            &grid_single,
-        ),
-        time_sweep("fig_3_1", "single_pass", 1, 1, total, &fig31_single),
+    // Cells per sweep: the grid's geometry points, fig_3_1's one
+    // classification, and for the augmented sweeps the classification
+    // plus one cell per configuration.
+    let sweeps: [(&'static str, u64, &dyn Fn()); 4] = [
+        ("geometry_grid", single_pass::cells_per_side(), &grid),
+        ("fig_3_1", 1, &fig31),
+        ("victim_cache_4", 5, &victim),
+        ("stream_single_8", 10, &stream),
     ];
-    if !single_pass_only {
-        // fig_3_1 has no per-cell schedule (see the module docs); the
-        // other sweeps get per-cell at one thread plus fused at one and
-        // two.
-        runs.extend([
-            time_sweep("fig_3_1", "fused", 1, 1, total, &fig31),
-            time_sweep("fig_3_1", "fused", 2, 1, total, &fig31),
-            time_sweep("victim_cache_4", "per_cell", 1, 5, total, &victim_per_cell),
-            time_sweep("victim_cache_4", "fused", 1, 5, total, &victim_fused),
-            time_sweep("victim_cache_4", "fused", 2, 5, total, &victim_fused),
-            time_sweep(
-                "stream_single_8",
-                "per_cell",
-                1,
-                10,
-                total,
-                &stream_per_cell,
-            ),
-            time_sweep("stream_single_8", "fused", 1, 10, total, &stream_fused),
-            time_sweep("stream_single_8", "fused", 2, 10, total, &stream_fused),
-        ]);
-    }
+    let runs: Vec<Measurement> = sweeps
+        .iter()
+        .flat_map(|&(name, cells, run)| {
+            [1, 2].map(|threads| time_sweep(name, threads, cells, total, run))
+        })
+        .collect();
 
     let report = render_json(sweep::available_cores(), &cfg, &runs);
     std::fs::write(&out, &report).expect("failed to write the benchmark report");

@@ -3,11 +3,10 @@
 //! Two binaries:
 //!
 //! * `sweep-bench` (`src/bin/sweep_bench.rs`) times whole experiment
-//!   sweeps through the sweep engine under both schedules — `per_cell`
-//!   (one task per configuration cell) and `fused` (one gang task per
-//!   (benchmark, side)) — at one and two worker threads, and writes the
-//!   measurements to `BENCH_sweep.json`. Its `--smoke` flag instead
-//!   cross-checks that the two schedules produce identical results.
+//!   sweeps, each on its default engine, at one and two worker threads,
+//!   and writes the measurements to `BENCH_sweep.json`. Its `--smoke`
+//!   flag instead checks the geometry grid's single-pass engine against
+//!   its per-cell oracle and fig_3_1's run-to-run stability.
 //! * `loadgen` (`src/bin/loadgen.rs`) boots the `jouppi-serve` daemon on
 //!   a loopback port, hammers it from concurrent keep-alive connections,
 //!   and writes latency/throughput percentiles to `BENCH_serve.json`.
@@ -35,9 +34,10 @@ pub fn bench_config() -> ExperimentConfig {
 pub struct Measurement {
     /// Which sweep was timed (e.g. `"fig_3_1"`).
     pub sweep: &'static str,
-    /// Which sweep-engine schedule ran: `"per_cell"` (one task per
-    /// configuration cell) or `"fused"` (one gang task per
-    /// (benchmark, side), configurations stepped together).
+    /// The engine the sweep ran on, as `jouppi_serve::sweeps::engines_for`
+    /// names it: `"single_pass"`, `"per_cell"`, `"classify"`, or
+    /// `"fused"` (one (benchmark, side) job that classifies once, then
+    /// replays each configuration back to back).
     pub mode: &'static str,
     /// Worker threads the sweep engine actually used.
     pub threads: usize,
@@ -45,7 +45,7 @@ pub struct Measurement {
     /// policy points answered, per benchmark side).
     pub cells: u64,
     /// Total references of work delivered: cells covered × trace
-    /// references. For per-cell schedules this equals references
+    /// references. For replaying engines this equals references
     /// replayed; one-pass engines deliver the same work from fewer
     /// traversals, which is exactly what the throughput ratio measures.
     pub refs: u64,
@@ -160,7 +160,7 @@ mod tests {
     fn sample() -> Measurement {
         Measurement {
             sweep: "fig_3_1",
-            mode: "fused",
+            mode: "classify",
             threads: 4,
             cells: 1,
             refs: 2_000,

@@ -138,7 +138,8 @@ struct ShadowNode {
 /// first-touch set, folded into a single hash map so the per-reference hot
 /// path costs exactly one map probe (the classic three-C loop needs both
 /// facts for every reference — keeping them in separate structures, as a
-/// generic [`crate::LruSet`] plus a seen-set would, doubles the hashing).
+/// generic [`crate::LruMap`] plus a seen-set would, doubles the hashing:
+/// two probes per reference instead of one).
 ///
 /// Map value: slot index while resident, [`EVICTED`] once evicted. Entries
 /// are never removed, so `map.len()` is the distinct-line count.

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the conventional caching machinery the paper builds
 //! on: tag-only set-associative cache models (direct-mapped through
-//! fully-associative), replacement policies, an exact O(1) LRU structure,
+//! fully-associative), replacement policies, an exact LRU map,
 //! and the three-C miss classifier (compulsory / capacity / conflict, after
 //! Hill) that Sections 3 and 4 of the paper rely on to separate the misses
 //! each mechanism targets.
@@ -40,7 +40,6 @@
 mod classify;
 mod geometry;
 mod line_hash;
-mod lru;
 mod lru_map;
 mod replacement;
 mod set_assoc;
@@ -51,8 +50,7 @@ mod stats;
 pub use classify::{ClassifiedCache, MissClass, MissClassifier};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use line_hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use lru::{LruSet, TouchOutcome, SMALL_CAPACITY_MAX};
-pub use lru_map::{Displaced, LruMap};
+pub use lru_map::{Displaced, Keys, LruMap, SMALL_CAPACITY_MAX};
 pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, Cache};
 pub use single_pass::{FifoSweep, LruSweep, SinglePassError};

@@ -3,7 +3,7 @@
 //! `std`'s default `SipHash` is DoS-resistant but costs tens of cycles per
 //! key — far too much for simulation loops that perform a hash-map probe
 //! per memory reference (the three-C shadow cache, the large-capacity
-//! [`LruSet`](crate::LruSet) backend, stack-distance profiles). Keys here
+//! [`LruMap`](crate::LruMap) backend, stack-distance profiles). Keys here
 //! are line addresses produced by our own trace generators, so hash-flood
 //! resistance buys nothing; what matters is a single multiply instead of a
 //! full SipHash round.

@@ -1,24 +1,31 @@
 //! A generic fixed-capacity key → value map with exact LRU eviction.
 //!
-//! [`LruMap`] generalizes the line-address [`LruSet`](crate::LruSet) to
-//! arbitrary keys and values; it backs memoization layers like the
-//! serve daemon's content-addressed result cache. The same two backends
-//! sit behind one API, switched on capacity at construction:
+//! [`LruMap`] is the workspace's one generic LRU structure: it backs the
+//! miss cache's line set (`LruMap<LineAddr, ()>` in `jouppi-core`), the
+//! experiments' memoized trace store, and the serve daemon's
+//! content-addressed result cache. Two backends sit behind one API,
+//! switched on capacity at construction:
 //!
-//! * **Small** (capacity ≤ [`SMALL_CAPACITY_MAX`](crate::SMALL_CAPACITY_MAX))
-//!   — a single `Vec` of `(key, value)` pairs kept in MRU-first order and
-//!   scanned linearly; at a few dozen entries the scan beats hashing.
+//! * **Small** (capacity ≤ [`SMALL_CAPACITY_MAX`]) — a single `Vec` of
+//!   `(key, value)` pairs kept in MRU-first order and scanned linearly.
+//!   This is what the hardware's parallel comparators do, and at a few
+//!   dozen entries the scan beats hashing: no hashing, no pointer
+//!   chasing, one or two host cache lines of data.
 //! * **Hashed** (larger capacities) — an [`FxHashMap`] from key to slot
 //!   index plus an intrusive doubly-linked list threaded through a slab
 //!   of slots, giving O(1) get, insert, evict, and remove.
 //!
 //! Both backends implement exact LRU, so which one is selected can never
-//! change behavior — pinned by the equivalence test below.
+//! change behavior — pinned by the equivalence tests below and in
+//! `tests/lru_backends.rs`.
 
 use std::hash::Hash;
 
 use crate::line_hash::FxHashMap;
-use crate::lru::SMALL_CAPACITY_MAX;
+
+/// Largest capacity served by the linear small-vector backend. Above this
+/// the hash-map backend's O(1) operations win over an O(n) scan.
+pub const SMALL_CAPACITY_MAX: usize = 64;
 
 const NIL: usize = usize::MAX;
 
@@ -144,25 +151,25 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 
     /// The value for `key`, marking the entry most-recently used.
+    ///
+    /// `get`, [`LruMap::peek`] and [`LruMap::insert`] are `#[inline]`
+    /// with the hashed backend's work kept out of line, so the
+    /// small-vector scan — the miss cache's per-reference path — inlines
+    /// into its caller.
+    #[inline]
     pub fn get(&mut self, key: &K) -> Option<&V> {
         match &mut self.backend {
-            Backend::Small(v) => match v.iter().position(|(k, _)| k == key) {
-                Some(pos) => {
-                    v[..=pos].rotate_right(1);
-                    v.first().map(|(_, value)| value)
-                }
-                None => None,
-            },
-            Backend::Hashed(h) => {
-                let idx = *h.map.get(key)?;
-                h.unlink(idx);
-                h.push_front(idx);
-                h.slots[idx].value.as_ref()
+            Backend::Small(v) => {
+                let pos = v.iter().position(|(k, _)| k == key)?;
+                v[..=pos].rotate_right(1);
+                v.first().map(|(_, value)| value)
             }
+            Backend::Hashed(h) => h.get(key),
         }
     }
 
     /// The value for `key` without affecting recency.
+    #[inline]
     pub fn peek(&self, key: &K) -> Option<&V> {
         match &self.backend {
             Backend::Small(v) => v.iter().find(|(k, _)| k == key).map(|(_, value)| value),
@@ -173,6 +180,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Inserts `key` → `value` as MRU, reporting what was displaced:
     /// the previous value when the key was already present, or the LRU
     /// entry when the map was full.
+    #[inline]
     pub fn insert(&mut self, key: K, value: V) -> Displaced<K, V> {
         let capacity = self.capacity;
         match &mut self.backend {
@@ -189,48 +197,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
                     None => Displaced::None,
                 }
             }
-            Backend::Hashed(h) => {
-                if let Some(&idx) = h.map.get(&key) {
-                    h.unlink(idx);
-                    h.push_front(idx);
-                    match h.slots[idx].value.replace(value) {
-                        Some(old) => return Displaced::Replaced(old),
-                        None => return Displaced::None, // unreachable: resident slots hold Some
-                    }
-                }
-                let evicted = if h.map.len() == capacity {
-                    let lru = h.tail;
-                    h.unlink(lru);
-                    h.free.push(lru);
-                    let victim_key = h.slots[lru].key.clone();
-                    h.map.remove(&victim_key);
-                    h.slots[lru].value.take().map(|v| (victim_key, v))
-                } else {
-                    None
-                };
-                let node = Node {
-                    key: key.clone(),
-                    value: Some(value),
-                    prev: NIL,
-                    next: NIL,
-                };
-                let idx = match h.free.pop() {
-                    Some(idx) => {
-                        h.slots[idx] = node;
-                        idx
-                    }
-                    None => {
-                        h.slots.push(node);
-                        h.slots.len() - 1
-                    }
-                };
-                h.map.insert(key, idx);
-                h.push_front(idx);
-                match evicted {
-                    Some((k, v)) => Displaced::Evicted(k, v),
-                    None => Displaced::None,
-                }
-            }
+            Backend::Hashed(h) => h.insert(key, value, capacity),
         }
     }
 
@@ -264,27 +231,76 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         }
     }
 
-    /// Keys from MRU to LRU (cloned; for tests and introspection).
-    pub fn keys_mru_to_lru(&self) -> Vec<K> {
-        match &self.backend {
-            Backend::Small(v) => v.iter().map(|(k, _)| k.clone()).collect(),
-            Backend::Hashed(h) => {
-                let mut out = Vec::with_capacity(h.map.len());
-                let mut cursor = h.head;
-                while cursor != NIL {
-                    out.push(h.slots[cursor].key.clone());
-                    cursor = h.slots[cursor].next;
-                }
-                out
-            }
-        }
+    /// Borrows the resident keys from MRU to LRU, without affecting
+    /// recency.
+    pub fn keys(&self) -> Keys<'_, K, V> {
+        Keys(match &self.backend {
+            Backend::Small(v) => KeysInner::Small(v.iter()),
+            Backend::Hashed(h) => KeysInner::Hashed {
+                map: h,
+                cursor: h.head,
+            },
+        })
     }
 
     /// Returns `true` if this map runs on the linear small-vector
-    /// backend (capacity ≤ [`SMALL_CAPACITY_MAX`](crate::SMALL_CAPACITY_MAX)
-    /// via [`LruMap::new`]).
+    /// backend (capacity ≤ [`SMALL_CAPACITY_MAX`] via [`LruMap::new`]).
     pub fn is_small_backend(&self) -> bool {
         matches!(self.backend, Backend::Small(_))
+    }
+}
+
+impl<K: Eq + Hash + Clone, V> Hashed<K, V> {
+    #[inline(never)]
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let idx = *self.map.get(key)?;
+        self.unlink(idx);
+        self.push_front(idx);
+        self.slots[idx].value.as_ref()
+    }
+
+    #[inline(never)]
+    fn insert(&mut self, key: K, value: V, capacity: usize) -> Displaced<K, V> {
+        if let Some(&idx) = self.map.get(&key) {
+            self.unlink(idx);
+            self.push_front(idx);
+            return match self.slots[idx].value.replace(value) {
+                Some(old) => Displaced::Replaced(old),
+                None => Displaced::None, // unreachable: resident slots hold Some
+            };
+        }
+        let evicted = if self.map.len() == capacity {
+            let lru = self.tail;
+            self.unlink(lru);
+            self.free.push(lru);
+            let victim_key = self.slots[lru].key.clone();
+            self.map.remove(&victim_key);
+            self.slots[lru].value.take().map(|v| (victim_key, v))
+        } else {
+            None
+        };
+        let node = Node {
+            key: key.clone(),
+            value: Some(value),
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx] = node;
+                idx
+            }
+            None => {
+                self.slots.push(node);
+                self.slots.len() - 1
+            }
+        };
+        self.map.insert(key, idx);
+        self.push_front(idx);
+        match evicted {
+            Some((k, v)) => Displaced::Evicted(k, v),
+            None => Displaced::None,
+        }
     }
 }
 
@@ -318,6 +334,35 @@ impl<K, V> Hashed<K, V> {
     }
 }
 
+/// Iterator over an [`LruMap`]'s keys from MRU to LRU, created by
+/// [`LruMap::keys`].
+#[derive(Clone, Debug)]
+pub struct Keys<'a, K, V>(KeysInner<'a, K, V>);
+
+#[derive(Clone, Debug)]
+enum KeysInner<'a, K, V> {
+    Small(std::slice::Iter<'a, (K, V)>),
+    Hashed {
+        map: &'a Hashed<K, V>,
+        cursor: usize,
+    },
+}
+
+impl<'a, K, V> Iterator for Keys<'a, K, V> {
+    type Item = &'a K;
+
+    fn next(&mut self) -> Option<&'a K> {
+        match &mut self.0 {
+            KeysInner::Small(it) => it.next().map(|(k, _)| k),
+            KeysInner::Hashed { map, cursor } => {
+                let node = map.slots.get(*cursor)?;
+                *cursor = node.next;
+                Some(&node.key)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +375,11 @@ mod tests {
 
     fn s(text: &str) -> String {
         text.to_owned()
+    }
+
+    /// Resident keys from MRU to LRU.
+    fn order<V>(m: &LruMap<u64, V>) -> Vec<u64> {
+        m.keys().copied().collect()
     }
 
     #[test]
@@ -407,7 +457,43 @@ mod tests {
             m.insert(2, s("b"));
             m.insert(3, s("c"));
             m.get(&2);
-            assert_eq!(m.keys_mru_to_lru(), vec![2, 3, 1]);
+            assert_eq!(order(&m), vec![2, 3, 1]);
+            m.peek(&1);
+            assert_eq!(m.keys().next(), Some(&2), "peek must not reorder");
+        });
+    }
+
+    #[test]
+    fn get_missing_is_none_and_leaves_order() {
+        both(2, |mut m| {
+            assert_eq!(m.get(&9), None);
+            m.insert(1, s("a"));
+            m.insert(2, s("b"));
+            assert_eq!(m.get(&9), None);
+            assert_eq!(order(&m), vec![2, 1]);
+        });
+    }
+
+    #[test]
+    fn capacity_one_behaves() {
+        both(1, |mut m| {
+            assert_eq!(m.insert(1, s("a")), Displaced::None);
+            assert_eq!(m.insert(2, s("b")), Displaced::Evicted(1, s("a")));
+            assert_eq!(m.insert(2, s("b2")), Displaced::Replaced(s("b")));
+            assert_eq!(m.capacity(), 1);
+            assert_eq!(m.len(), 1);
+        });
+    }
+
+    #[test]
+    fn just_past_the_small_threshold_is_still_exact_lru() {
+        both(SMALL_CAPACITY_MAX + 1, |mut m| {
+            for i in 0..=SMALL_CAPACITY_MAX as u64 {
+                m.insert(i, s("x"));
+            }
+            m.get(&0); // protect the oldest key
+            assert_eq!(m.insert(999, s("y")), Displaced::Evicted(1, s("x")));
+            assert!(m.peek(&0).is_some());
         });
     }
 
@@ -426,6 +512,12 @@ mod tests {
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_panics() {
         let _ = LruMap::<u64, u64>::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be nonzero")]
+    fn zero_capacity_hashed_panics() {
+        let _ = LruMap::<u64, u64>::new_hashed(0);
     }
 
     #[test]
@@ -479,7 +571,7 @@ mod tests {
                 }
             }
             assert_eq!(small.len(), hashed.len());
-            assert_eq!(small.keys_mru_to_lru(), hashed.keys_mru_to_lru());
+            assert_eq!(order(&small), order(&hashed));
         }
     }
 }

@@ -1,37 +1,39 @@
-//! Randomized equivalence of the two `LruSet` backends.
+//! Randomized equivalence of the two `LruMap` backends on line sets.
 //!
-//! `LruSet` picks a compact ordered-vector backend for capacities up to
+//! `LruMap` picks a compact ordered-vector backend for capacities up to
 //! `SMALL_CAPACITY_MAX` and a hash-map + intrusive-list backend above it.
 //! The backend is an implementation detail: driving both with the same
 //! operation sequence must produce identical hits, evictions, recency
 //! order, and observer results at every step. The small backend is the
-//! sweep hot path (miss caches, victim-cache shadows), so divergence here
-//! would silently skew every paper figure.
+//! sweep hot path (the miss cache's `LruMap<LineAddr, ()>`), so
+//! divergence here would silently skew every paper figure.
 
-use jouppi_cache::{LruSet, SMALL_CAPACITY_MAX};
+use jouppi_cache::{Displaced, LruMap, SMALL_CAPACITY_MAX};
 use jouppi_trace::{LineAddr, SmallRng};
 
+type LineSet = LruMap<LineAddr, ()>;
+
+/// Resident lines from MRU to LRU.
+fn order(set: &LineSet) -> Vec<LineAddr> {
+    set.keys().copied().collect()
+}
+
 /// One randomized op applied to both backends, with full observer checks.
-fn step(rng: &mut SmallRng, small: &mut LruSet, hashed: &mut LruSet, line_space: u64) {
+fn step(rng: &mut SmallRng, small: &mut LineSet, hashed: &mut LineSet, line_space: u64) {
     let line = LineAddr::new(rng.below(line_space as usize) as u64);
-    match rng.below(6) {
-        0 => assert_eq!(small.touch(line), hashed.touch(line), "touch {line:?}"),
-        1 => assert_eq!(small.insert(line), hashed.insert(line), "insert {line:?}"),
-        2 => assert_eq!(small.remove(line), hashed.remove(line), "remove {line:?}"),
-        3 => assert_eq!(
-            small.contains(line),
-            hashed.contains(line),
-            "contains {line:?}"
+    match rng.below(5) {
+        0 => assert_eq!(small.get(&line), hashed.get(&line), "get {line:?}"),
+        1 => assert_eq!(
+            small.insert(line, ()),
+            hashed.insert(line, ()),
+            "insert {line:?}"
         ),
-        _ => assert_eq!(
-            small.touch_or_insert(line),
-            hashed.touch_or_insert(line),
-            "touch_or_insert {line:?}"
-        ),
+        2 => assert_eq!(small.remove(&line), hashed.remove(&line), "remove {line:?}"),
+        _ => assert_eq!(small.peek(&line), hashed.peek(&line), "peek {line:?}"),
     }
     assert_eq!(small.len(), hashed.len());
-    assert_eq!(small.lru(), hashed.lru());
-    assert_eq!(small.mru(), hashed.mru());
+    assert_eq!(small.keys().next(), hashed.keys().next(), "MRU diverged");
+    assert_eq!(small.keys().last(), hashed.keys().last(), "LRU diverged");
 }
 
 #[test]
@@ -39,8 +41,8 @@ fn backends_agree_on_random_op_sequences() {
     let mut rng = SmallRng::seed_from_u64(0x1a2b_3c4d);
     for capacity in [1usize, 2, 3, 4, 8, 15, 64] {
         assert!(capacity <= SMALL_CAPACITY_MAX);
-        let mut small = LruSet::new(capacity);
-        let mut hashed = LruSet::new_hashed(capacity);
+        let mut small = LineSet::new(capacity);
+        let mut hashed = LineSet::new_hashed(capacity);
         assert!(small.is_small_backend());
         assert!(!hashed.is_small_backend());
         // Line space ~2× capacity keeps eviction pressure high.
@@ -49,9 +51,11 @@ fn backends_agree_on_random_op_sequences() {
             step(&mut rng, &mut small, &mut hashed, line_space);
         }
         // Final recency order must match element for element.
-        let a: Vec<LineAddr> = small.iter().collect();
-        let b: Vec<LineAddr> = hashed.iter().collect();
-        assert_eq!(a, b, "capacity {capacity}: iteration order diverged");
+        assert_eq!(
+            order(&small),
+            order(&hashed),
+            "capacity {capacity}: iteration order diverged"
+        );
     }
 }
 
@@ -60,39 +64,37 @@ fn backends_agree_under_sparse_addresses() {
     // Widely spread line addresses exercise hashing rather than the dense
     // low-value keys of the main test.
     let mut rng = SmallRng::seed_from_u64(7);
-    let mut small = LruSet::new(8);
-    let mut hashed = LruSet::new_hashed(8);
+    let mut small = LineSet::new(8);
+    let mut hashed = LineSet::new_hashed(8);
     for _ in 0..20_000 {
         let line = LineAddr::new((rng.below(32) as u64) << 40 | rng.below(16) as u64);
-        assert_eq!(small.touch_or_insert(line), hashed.touch_or_insert(line));
+        assert_eq!(small.insert(line, ()), hashed.insert(line, ()));
     }
-    assert_eq!(
-        small.iter().collect::<Vec<_>>(),
-        hashed.iter().collect::<Vec<_>>()
-    );
+    assert_eq!(order(&small), order(&hashed));
 }
 
 #[test]
 fn capacity_switch_point_is_respected() {
-    assert!(LruSet::new(SMALL_CAPACITY_MAX).is_small_backend());
-    assert!(!LruSet::new(SMALL_CAPACITY_MAX + 1).is_small_backend());
+    assert!(LineSet::new(SMALL_CAPACITY_MAX).is_small_backend());
+    assert!(!LineSet::new(SMALL_CAPACITY_MAX + 1).is_small_backend());
     // Forcing the hash backend at a small capacity is what this test
     // suite relies on; make sure the override holds.
-    assert!(!LruSet::new_hashed(2).is_small_backend());
+    assert!(!LineSet::new_hashed(2).is_small_backend());
 }
 
 #[test]
 fn clear_resets_both_backends_identically() {
-    let mut small = LruSet::new(4);
-    let mut hashed = LruSet::new_hashed(4);
+    let mut small = LineSet::new(4);
+    let mut hashed = LineSet::new_hashed(4);
     for n in 0..10 {
-        small.insert(LineAddr::new(n));
-        hashed.insert(LineAddr::new(n));
+        small.insert(LineAddr::new(n), ());
+        hashed.insert(LineAddr::new(n), ());
     }
     small.clear();
     hashed.clear();
     assert!(small.is_empty() && hashed.is_empty());
-    assert_eq!(small.insert(LineAddr::new(99)), None);
-    assert_eq!(hashed.insert(LineAddr::new(99)), None);
+    let line = LineAddr::new(99);
+    assert_eq!(small.insert(line, ()), Displaced::None);
+    assert_eq!(hashed.insert(line, ()), Displaced::None);
     assert_eq!(small.len(), hashed.len());
 }

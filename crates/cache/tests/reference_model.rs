@@ -1,14 +1,23 @@
 //! Property tests pitting `Cache` against a naive reference
 //! implementation: a per-set vector with explicit recency bookkeeping.
-
-//
-// Gated: requires the `proptest` feature (and re-adding the `proptest`
-// dev-dependency, which the offline build environment cannot download).
-#![cfg(feature = "proptest")]
+//!
+//! Each property runs over [`CASES`] random cases drawn from the
+//! workspace's seeded xoshiro PRNG (`jouppi_trace::SmallRng`), so a
+//! failure names its case and reproduces exactly.
 
 use jouppi_cache::{AccessResult, Cache, CacheGeometry, ReplacementPolicy};
-use jouppi_trace::LineAddr;
-use proptest::prelude::*;
+use jouppi_trace::{LineAddr, SmallRng};
+
+/// Random cases per property.
+const CASES: usize = 256;
+
+/// Runs `property` on [`CASES`] cases from a generator seeded by `seed`.
+fn check(seed: u64, mut property: impl FnMut(usize, &mut SmallRng)) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        property(case, &mut rng);
+    }
+}
 
 /// A deliberately simple model of a set-associative LRU cache.
 struct NaiveLru {
@@ -40,19 +49,18 @@ impl NaiveLru {
     }
 }
 
-fn line_stream(max_line: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0..max_line, 1..len)
+/// A random line stream of length `1..len` over `0..max_line`.
+fn line_stream(rng: &mut SmallRng, max_line: u64, len: usize) -> Vec<u64> {
+    let n = rng.gen_range(1..len);
+    (0..n).map(|_| rng.gen_range(0..max_line)).collect()
 }
 
-proptest! {
-    #[test]
-    fn set_associative_lru_matches_naive_model(
-        stream in line_stream(256, 500),
-        assoc_log in 0u32..4,
-        sets_log in 0u32..4,
-    ) {
-        let assoc = 1u64 << assoc_log;
-        let sets = 1u64 << sets_log;
+#[test]
+fn set_associative_lru_matches_naive_model() {
+    check(1, |case, rng| {
+        let stream = line_stream(rng, 256, 500);
+        let assoc = 1u64 << rng.gen_range(0u32..4);
+        let sets = 1u64 << rng.gen_range(0u32..4);
         let line_size = 16u64;
         let geom = CacheGeometry::new(sets * assoc * line_size, line_size, assoc).unwrap();
         let mut cache = Cache::new(geom);
@@ -61,28 +69,26 @@ proptest! {
             let line = LineAddr::new(n);
             let (model_hit, model_victim) = model.access(line);
             match cache.access_line(line) {
-                AccessResult::Hit => prop_assert!(model_hit, "cache hit, model missed"),
+                AccessResult::Hit => assert!(model_hit, "case {case}: cache hit, model missed"),
                 AccessResult::Miss { victim } => {
-                    prop_assert!(!model_hit, "cache missed, model hit");
-                    prop_assert_eq!(victim, model_victim, "victim mismatch");
+                    assert!(!model_hit, "case {case}: cache missed, model hit");
+                    assert_eq!(victim, model_victim, "case {case}: victim mismatch");
                 }
             }
         }
         // Residency agrees exactly.
         let mut ours: Vec<u64> = cache.resident_lines().map(|l| l.get()).collect();
-        let mut theirs: Vec<u64> = model
-            .sets
-            .iter()
-            .flatten()
-            .map(|l| l.get())
-            .collect();
+        let mut theirs: Vec<u64> = model.sets.iter().flatten().map(|l| l.get()).collect();
         ours.sort_unstable();
         theirs.sort_unstable();
-        prop_assert_eq!(ours, theirs);
-    }
+        assert_eq!(ours, theirs, "case {case}");
+    });
+}
 
-    #[test]
-    fn stats_count_exactly_the_observed_outcomes(stream in line_stream(64, 300)) {
+#[test]
+fn stats_count_exactly_the_observed_outcomes() {
+    check(2, |case, rng| {
+        let stream = line_stream(rng, 64, 300);
         let geom = CacheGeometry::direct_mapped(16 * 16, 16).unwrap();
         let mut cache = Cache::new(geom);
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
@@ -98,14 +104,17 @@ proptest! {
             }
         }
         let s = cache.stats();
-        prop_assert_eq!(s.hits, hits);
-        prop_assert_eq!(s.misses, misses);
-        prop_assert_eq!(s.evictions, evictions);
-        prop_assert_eq!(s.accesses, hits + misses);
-    }
+        assert_eq!(s.hits, hits, "case {case}");
+        assert_eq!(s.misses, misses, "case {case}");
+        assert_eq!(s.evictions, evictions, "case {case}");
+        assert_eq!(s.accesses, hits + misses, "case {case}");
+    });
+}
 
-    #[test]
-    fn fifo_eviction_order_is_insertion_order(stream in line_stream(64, 300)) {
+#[test]
+fn fifo_eviction_order_is_insertion_order() {
+    check(3, |case, rng| {
+        let stream = line_stream(rng, 64, 300);
         // In a 1-set FIFO cache, victims must come out in exactly the
         // order their lines were first inserted (reinsertions after
         // eviction count anew).
@@ -118,24 +127,27 @@ proptest! {
                 AccessResult::Miss { victim } => {
                     if let Some(v) = victim {
                         let expected = inserted.remove(0);
-                        prop_assert_eq!(v.get(), expected);
+                        assert_eq!(v.get(), expected, "case {case}");
                     }
                     inserted.push(n);
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn invalidate_then_access_always_misses(stream in line_stream(32, 100)) {
+#[test]
+fn invalidate_then_access_always_misses() {
+    check(4, |case, rng| {
+        let stream = line_stream(rng, 32, 100);
         let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
         let mut cache = Cache::new(geom);
         for &n in &stream {
             let line = LineAddr::new(n);
             cache.access_line(line);
             cache.invalidate(line);
-            prop_assert!(!cache.probe(line));
-            prop_assert!(cache.access_line(line).is_miss());
+            assert!(!cache.probe(line), "case {case}");
+            assert!(cache.access_line(line).is_miss(), "case {case}");
         }
-    }
+    });
 }

@@ -23,8 +23,6 @@
 //! * [`AugmentedCache`] — a direct-mapped L1 composed with any of the
 //!   above, producing the per-access outcomes and statistics every
 //!   experiment consumes.
-//! * [`Gang`] — many independent augmented organizations stepped in
-//!   lockstep, so one pass over a trace drives a whole sweep row.
 //!
 //! # Examples
 //!
@@ -56,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod augmented;
-mod fused;
 mod miss_cache;
 mod multi_way;
 pub mod prefetch;
@@ -66,7 +63,6 @@ mod victim_cache;
 mod write_buffer;
 
 pub use augmented::{AccessOutcome, AugmentedCache, AugmentedConfig, AugmentedStats, ConflictAid};
-pub use fused::Gang;
 pub use miss_cache::MissCache;
 pub use multi_way::MultiWayStreamBuffer;
 pub use stream_buffer::{StreamBuffer, StreamBufferConfig, StreamProbe};

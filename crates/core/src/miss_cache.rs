@@ -1,6 +1,6 @@
 //! The miss cache of §3.1.
 
-use jouppi_cache::LruSet;
+use jouppi_cache::{Displaced, LruMap};
 use jouppi_trace::LineAddr;
 
 /// A small fully-associative cache between a direct-mapped cache and its
@@ -31,7 +31,7 @@ use jouppi_trace::LineAddr;
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissCache {
-    lines: LruSet,
+    lines: LruMap<LineAddr, ()>,
 }
 
 impl MissCache {
@@ -43,7 +43,7 @@ impl MissCache {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         MissCache {
-            lines: LruSet::new(entries),
+            lines: LruMap::new(entries),
         }
     }
 
@@ -66,24 +66,27 @@ impl MissCache {
     /// most-recently used (the upper cache is reloaded from here in one
     /// cycle) and `true` is returned.
     pub fn probe_and_touch(&mut self, line: LineAddr) -> bool {
-        self.lines.touch(line)
+        self.lines.get(&line).is_some()
     }
 
     /// Checks residency without updating recency (for overlap statistics).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.lines.contains(line)
+        self.lines.peek(&line).is_some()
     }
 
     /// Loads the requested `line` after a full miss, replacing the
     /// least-recently-used entry. Returns the entry that was displaced,
-    /// if any.
+    /// if any; a line already resident is only made most-recently used.
     pub fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
-        self.lines.insert(line)
+        match self.lines.insert(line, ()) {
+            Displaced::Evicted(victim, ()) => Some(victim),
+            Displaced::None | Displaced::Replaced(()) => None,
+        }
     }
 
     /// Iterates over the resident lines, most-recently used first.
     pub fn iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.lines.iter()
+        self.lines.keys().copied()
     }
 }
 
@@ -116,6 +119,16 @@ mod tests {
         assert_eq!(mc.insert(l(3)), Some(l(2)));
         assert!(mc.contains(l(1)));
         assert!(!mc.contains(l(2)));
+    }
+
+    #[test]
+    fn reinserting_resident_line_refreshes_it() {
+        let mut mc = MissCache::new(2);
+        mc.insert(l(1));
+        mc.insert(l(2));
+        assert_eq!(mc.insert(l(1)), None, "resident line is not duplicated");
+        assert_eq!(mc.len(), 2);
+        assert_eq!(mc.insert(l(3)), Some(l(2)), "2 became LRU");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Cross-structure equivalence properties for the paper's mechanisms.
-
-//
-// Gated: requires the `proptest` feature (and re-adding the `proptest`
-// dev-dependency, which the offline build environment cannot download).
-#![cfg(feature = "proptest")]
+//!
+//! Each property runs over [`CASES`] random cases drawn from the
+//! workspace's seeded xoshiro PRNG (`jouppi_trace::SmallRng`), so a
+//! failure names its case and reproduces exactly.
 
 use jouppi_cache::CacheGeometry;
 use jouppi_core::stride::StridedMultiWayBuffer;
@@ -11,15 +10,27 @@ use jouppi_core::{
     AugmentedCache, AugmentedConfig, MissCache, MultiWayStreamBuffer, StreamBuffer,
     StreamBufferConfig, StreamProbe,
 };
-use jouppi_trace::LineAddr;
-use proptest::prelude::*;
+use jouppi_trace::{LineAddr, SmallRng};
+
+/// Random cases per property.
+const CASES: usize = 256;
+
+/// Runs `property` on [`CASES`] cases from a generator seeded by `seed`.
+fn check(seed: u64, mut property: impl FnMut(usize, &mut SmallRng)) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        property(case, &mut rng);
+    }
+}
 
 fn l(n: u64) -> LineAddr {
     LineAddr::new(n)
 }
 
-fn line_stream(max_line: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0..max_line, 1..len)
+/// A random line stream of length `1..len` over `0..max_line`.
+fn line_stream(rng: &mut SmallRng, max_line: u64, len: usize) -> Vec<u64> {
+    let n = rng.gen_range(1..len);
+    (0..n).map(|_| rng.gen_range(0..max_line)).collect()
 }
 
 /// A naive stream-buffer model: remembers the expected next lines of the
@@ -58,73 +69,80 @@ impl NaiveStream {
     }
 }
 
-proptest! {
-    /// The real FIFO stream buffer with zero latency is equivalent to the
-    /// naive "expected next line with budget" model.
-    #[test]
-    fn stream_buffer_matches_naive_model(
-        stream in line_stream(64, 400),
-        depth in 1usize..6,
-        max_run in 0usize..20,
-    ) {
+/// The real FIFO stream buffer with zero latency is equivalent to the
+/// naive "expected next line with budget" model.
+#[test]
+fn stream_buffer_matches_naive_model() {
+    check(1, |case, rng| {
+        let stream = line_stream(rng, 64, 400);
+        let depth = rng.gen_range(1usize..6);
+        let max_run = rng.gen_range(0usize..20);
         let cfg = StreamBufferConfig::new(depth).max_run(max_run);
         let mut sb = StreamBuffer::new(cfg);
         let mut model = NaiveStream::new(depth, max_run);
         for (t, &n) in stream.iter().enumerate() {
             let real = sb.probe_consume(l(n), t as u64).is_hit();
             let expect = model.probe_consume(n);
-            prop_assert_eq!(real, expect, "ref {} (line {})", t, n);
+            assert_eq!(real, expect, "case {case}: ref {t} (line {n})");
             if !real {
                 sb.restart(l(n), t as u64);
                 model.restart(n);
             }
         }
-    }
+    });
+}
 
-    /// A 1-way MultiWayStreamBuffer behaves exactly like a single
-    /// StreamBuffer.
-    #[test]
-    fn one_way_multi_equals_single(stream in line_stream(128, 400)) {
+/// A 1-way MultiWayStreamBuffer behaves exactly like a single
+/// StreamBuffer.
+#[test]
+fn one_way_multi_equals_single() {
+    check(2, |case, rng| {
+        let stream = line_stream(rng, 128, 400);
         let cfg = StreamBufferConfig::new(4);
         let mut single = StreamBuffer::new(cfg);
         let mut multi = MultiWayStreamBuffer::new(1, cfg);
         for (t, &n) in stream.iter().enumerate() {
             let a = single.probe_consume(l(n), t as u64);
             let b = multi.probe_consume(l(n), t as u64);
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b, "case {case}: ref {t}");
             if a == StreamProbe::Miss {
                 single.restart(l(n), t as u64);
                 multi.handle_miss(l(n), t as u64);
             }
         }
-    }
+    });
+}
 
-    /// With stride detection enabled, a purely sequential stream behaves
-    /// identically to the plain multi-way buffer (the detector confirms
-    /// stride 1 and allocates unit streams).
-    #[test]
-    fn strided_buffer_equals_plain_on_unit_streams(start in 0u64..1000, len in 10usize..200) {
+/// With stride detection enabled, a purely sequential stream behaves
+/// identically to the plain multi-way buffer (the detector confirms
+/// stride 1 and allocates unit streams).
+#[test]
+fn strided_buffer_equals_plain_on_unit_streams() {
+    check(3, |case, rng| {
+        let start = rng.gen_range(0u64..1000);
+        let len = rng.gen_range(10usize..200);
         let cfg = StreamBufferConfig::new(4);
         let mut plain = MultiWayStreamBuffer::new(4, cfg);
         let mut strided = StridedMultiWayBuffer::new(4, cfg, 64);
         for (t, n) in (start..start + len as u64).enumerate() {
             let a = plain.probe_consume(l(n), t as u64);
             let b = strided.probe_consume(l(n), t as u64);
-            prop_assert_eq!(a, b, "diverged at {}", n);
+            assert_eq!(a, b, "case {case}: diverged at {n}");
             if a == StreamProbe::Miss {
                 plain.handle_miss(l(n), t as u64);
                 strided.handle_miss(l(n), t as u64);
             }
         }
-    }
+    });
+}
 
-    /// Miss cache as reference model: an L1+miss-cache composite's
-    /// miss-cache hits equal a hand-rolled simulation of §3.1's rules.
-    #[test]
-    fn miss_cache_composite_matches_manual_rules(
-        stream in line_stream(48, 400),
-        entries in 1usize..6,
-    ) {
+/// Miss cache as reference model: an L1+miss-cache composite's
+/// miss-cache hits equal a hand-rolled simulation of §3.1's rules.
+#[test]
+fn miss_cache_composite_matches_manual_rules() {
+    check(4, |case, rng| {
+        let stream = line_stream(rng, 48, 400);
+        let entries = rng.gen_range(1usize..6);
         let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
         let mut composite = AugmentedCache::new(AugmentedConfig::new(geom).miss_cache(entries));
         // Manual: plain DM cache + MissCache structure.
@@ -142,31 +160,40 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(composite.stats().miss_cache_hits, manual_mc_hits);
-    }
+        assert_eq!(
+            composite.stats().miss_cache_hits,
+            manual_mc_hits,
+            "case {case}"
+        );
+    });
+}
 
-    /// Victim-cache composite: total lines tracked (L1 + VC) never exceeds
-    /// L1 capacity + VC capacity, and the VC only ever holds lines that
-    /// were once evicted from L1.
-    #[test]
-    fn victim_composite_conservation(stream in line_stream(64, 400), entries in 1usize..6) {
+/// Victim-cache composite: total lines tracked (L1 + VC) never exceeds
+/// L1 capacity + VC capacity, and the VC only ever holds lines that
+/// were once evicted from L1.
+#[test]
+fn victim_composite_conservation() {
+    check(5, |case, rng| {
+        let stream = line_stream(rng, 64, 400);
+        let entries = rng.gen_range(1usize..6);
         let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
         let mut c = AugmentedCache::new(AugmentedConfig::new(geom).victim_cache(entries));
         for &n in &stream {
             c.access_line(l(n));
         }
-        prop_assert!(c.exclusivity_holds());
-    }
+        assert!(c.exclusivity_holds(), "case {case}");
+    });
+}
 
-    /// Outcome counters always sum to accesses, for arbitrary composite
-    /// configurations.
-    #[test]
-    fn outcome_counters_partition_accesses(
-        stream in line_stream(200, 400),
-        vc in 0usize..5,
-        ways in 0usize..5,
-        stride_detect in prop::bool::ANY,
-    ) {
+/// Outcome counters always sum to accesses, for arbitrary composite
+/// configurations.
+#[test]
+fn outcome_counters_partition_accesses() {
+    check(6, |case, rng| {
+        let stream = line_stream(rng, 200, 400);
+        let vc = rng.gen_range(0usize..5);
+        let ways = rng.gen_range(0usize..5);
+        let stride_detect = rng.gen_bool(0.5);
         let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
         let mut cfg = AugmentedConfig::new(geom);
         if vc > 0 {
@@ -184,9 +211,10 @@ proptest! {
             c.access_line(l(n));
         }
         let s = c.stats();
-        prop_assert_eq!(
+        assert_eq!(
             s.accesses,
-            s.l1_hits + s.victim_hits + s.miss_cache_hits + s.stream_hits + s.full_misses
+            s.l1_hits + s.victim_hits + s.miss_cache_hits + s.stream_hits + s.full_misses,
+            "case {case}"
         );
-    }
+    });
 }

@@ -1,10 +1,10 @@
 //! Shared experiment infrastructure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
-use jouppi_cache::CacheGeometry;
-use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, Gang};
+use jouppi_cache::{CacheGeometry, LruMap};
+use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats};
 use jouppi_trace::{AccessKind, MemRef, RecordedTrace, SideView};
 use jouppi_workloads::{Benchmark, Scale};
 
@@ -80,7 +80,7 @@ impl ExperimentConfig {
 /// All six benchmark traces for one configuration, shared process-wide.
 pub type TraceSet = Arc<Vec<(Benchmark, RecordedTrace)>>;
 
-/// Recently recorded trace sets, LRU by configuration (MRU at the back).
+/// Recently recorded trace sets, LRU by configuration.
 ///
 /// Trace generation is pure in `(benchmark, scale, seed)`, yet it
 /// dominated sweep wall time: every figure regenerated all six traces
@@ -88,7 +88,8 @@ pub type TraceSet = Arc<Vec<(Benchmark, RecordedTrace)>>;
 /// sweeps — the `jouppi serve` daemon, `repro`'s figure sequence, the
 /// benchmark harness — into pure replay. Capacity is small because a
 /// trace set at default scale is tens of megabytes.
-static TRACE_CACHE: Mutex<Vec<(ExperimentConfig, TraceSet)>> = Mutex::new(Vec::new());
+static TRACE_CACHE: LazyLock<Mutex<LruMap<ExperimentConfig, TraceSet>>> =
+    LazyLock::new(|| Mutex::new(LruMap::new(TRACE_CACHE_CAPACITY)));
 
 const TRACE_CACHE_CAPACITY: usize = 3;
 
@@ -101,11 +102,8 @@ const TRACE_CACHE_CAPACITY: usize = 3;
 /// recording without regenerating.
 pub fn record_traces(cfg: &ExperimentConfig) -> TraceSet {
     let mut cache = TRACE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(pos) = cache.iter().position(|(k, _)| k == cfg) {
-        let hit = cache.remove(pos);
-        let set = hit.1.clone();
-        cache.push(hit);
-        return set;
+    if let Some(set) = cache.get(cfg) {
+        return set.clone();
     }
     // Generation runs under the lock: concurrent callers with the same
     // configuration (the common case in the serve daemon) would otherwise
@@ -119,10 +117,7 @@ pub fn record_traces(cfg: &ExperimentConfig) -> TraceSet {
         trace.materialize_sides();
         (b, trace)
     }));
-    if cache.len() == TRACE_CACHE_CAPACITY {
-        cache.remove(0);
-    }
-    cache.push((*cfg, set.clone()));
+    cache.insert(*cfg, set.clone());
     set
 }
 
@@ -190,47 +185,28 @@ pub fn run_side(trace: &RecordedTrace, side: Side, cfg: AugmentedConfig) -> Augm
     *cache.stats()
 }
 
-/// Widest gang a fused sweep cell drives per trace pass.
+/// Configurations per trace pass in the retired lockstep sweep engine.
 ///
-/// Each member touches its own L1 slot array per reference, so very wide
-/// gangs thrash the host's caches; eight members keeps the working set
-/// modest while still amortizing one trace pass over a whole sweep row
-/// (the conflict sweeps need four configurations, the stream sweeps
-/// nine).
+/// No sweep in this workspace reads it any more: [`run_side_gang`]
+/// replays every configuration back to back, whatever their number. It
+/// stays exported, with its old value, because the standalone
+/// `perfbench` package sizes its per-layer configuration list with it.
 pub const GANG_WIDTH: usize = 8;
 
-/// Replays one side of a trace through a gang of augmented organizations
-/// in a single fused pass, returning per-configuration statistics in
-/// `cfgs` order.
+/// Replays one side of a trace through each configuration in `cfgs`, one
+/// after another, returning per-configuration statistics in `cfgs`
+/// order.
 ///
-/// Gang members are independent, so the result is bit-identical to
-/// calling [`run_side`] once per configuration; the trace is only
-/// streamed through host memory once. Callers with more than
-/// [`GANG_WIDTH`] configurations should chunk them.
+/// This is the inner loop of every augmented sweep's (benchmark, side)
+/// job: [`run_side`] once per configuration, back to back on one worker,
+/// so the side view stays hot in the host's caches between passes. The
+/// result is by construction identical to calling [`run_side`] yourself.
 pub fn run_side_gang(
     trace: &RecordedTrace,
     side: Side,
     cfgs: &[AugmentedConfig],
 ) -> Vec<AugmentedStats> {
-    let mut gang = Gang::new(cfgs);
-    let view = side.view(trace);
-    note_refs_simulated(view.addrs().len() as u64 * cfgs.len() as u64);
-    match gang
-        .uniform_line_size()
-        .and_then(|size| view.lines_for(size))
-    {
-        Some(lines) => {
-            for &line in lines {
-                gang.step_line(line);
-            }
-        }
-        None => {
-            for &addr in view.addrs() {
-                gang.step_addr(addr);
-            }
-        }
-    }
-    gang.into_stats()
+    cfgs.iter().map(|&cfg| run_side(trace, side, cfg)).collect()
 }
 
 /// Replays one side through a classified direct-mapped cache, returning

@@ -7,8 +7,8 @@ use jouppi_report::{Chart, Series, Table};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{
-    average, baseline_l1, classify_side, pct_of_conflicts_removed, record_traces, run_side,
-    run_side_gang, ExperimentConfig, Side, GANG_WIDTH,
+    average, baseline_l1, classify_side, pct_of_conflicts_removed, record_traces, run_side_gang,
+    ExperimentConfig, Side,
 };
 use crate::sweep;
 
@@ -62,14 +62,14 @@ pub struct ConflictSweep {
     pub benchmarks: Vec<BenchSweep>,
 }
 
-/// Runs the sweep for entry counts `1..=max_entries` on the fused engine.
+/// Runs the sweep for entry counts `1..=max_entries`.
 ///
-/// The unit of scheduled work is one (benchmark × side) cell: it
+/// The unit of scheduled work is one (benchmark × side) job: it
 /// classifies that side's misses once (the conflict-miss denominator) and
-/// then replays the side through [`run_side_gang`] gangs of up to
-/// [`GANG_WIDTH`] entry-count configurations — one trace pass per gang
-/// instead of one per configuration. Results are bit-identical to
-/// [`run_per_cell`] (pinned by the `fused_per_cell_equivalence` test).
+/// then replays the side through every entry-count configuration back to
+/// back ([`run_side_gang`]). The 12 jobs fan over the sweep engine;
+/// results never depend on the thread count (pinned by the
+/// `sequential_parallel_equivalence` test).
 pub fn run(cfg: &ExperimentConfig, mechanism: Mechanism, max_entries: usize) -> ConflictSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
@@ -78,65 +78,22 @@ pub fn run(cfg: &ExperimentConfig, mechanism: Mechanism, max_entries: usize) -> 
     let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
     // Each cell classifies once, then replays its side once per config.
     let refs_per_job = total / jobs as u64 * (1 + cfgs.len() as u64);
-    let rows = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
+    let rows: Vec<Vec<f64>> = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
         let (_, trace) = &traces[cell / 2];
         let side = Side::BOTH[cell % 2];
         let (_, breakdown) = classify_side(trace, side, geom);
-        let mut removed = Vec::with_capacity(max_entries);
-        for chunk in cfgs.chunks(GANG_WIDTH) {
-            for stats in run_side_gang(trace, side, chunk) {
-                removed.push(pct_of_conflicts_removed(
-                    stats.removed_misses(),
-                    breakdown.conflict,
-                ));
-            }
-        }
-        removed
+        run_side_gang(trace, side, &cfgs)
+            .iter()
+            .map(|stats| pct_of_conflicts_removed(stats.removed_misses(), breakdown.conflict))
+            .collect()
     });
-    assemble(mechanism, max_entries, &traces, |cell| rows[cell].clone())
-}
-
-/// Runs the sweep with one scheduled cell per (benchmark × side ×
-/// entry-count) simulation — the pre-fusion engine, kept as the reference
-/// implementation the fused path is checked against.
-pub fn run_per_cell(
-    cfg: &ExperimentConfig,
-    mechanism: Mechanism,
-    max_entries: usize,
-) -> ConflictSweep {
-    let geom = baseline_l1();
-    let traces = record_traces(cfg);
-    let sides = traces.len() * 2;
-    let conflicts = sweep::map_jobs(sides, |cell| {
-        let (_, trace) = &traces[cell / 2];
-        let (_, breakdown) = classify_side(trace, Side::BOTH[cell % 2], geom);
-        breakdown.conflict
-    });
-    let removed = sweep::map_jobs(sides * max_entries, |job| {
-        let cell = job / max_entries;
-        let entries = 1 + job % max_entries;
-        let (_, trace) = &traces[cell / 2];
-        let stats = run_side(trace, Side::BOTH[cell % 2], mechanism.config(entries));
-        pct_of_conflicts_removed(stats.removed_misses(), conflicts[cell])
-    });
-    assemble(mechanism, max_entries, &traces, |cell| {
-        removed[cell * max_entries..(cell + 1) * max_entries].to_vec()
-    })
-}
-
-fn assemble(
-    mechanism: Mechanism,
-    max_entries: usize,
-    traces: &[(Benchmark, jouppi_trace::RecordedTrace)],
-    curve: impl Fn(usize) -> Vec<f64>,
-) -> ConflictSweep {
     let benchmarks = traces
         .iter()
         .enumerate()
         .map(|(i, (b, _))| BenchSweep {
             benchmark: *b,
-            instr: curve(2 * i),
-            data: curve(2 * i + 1),
+            instr: rows[2 * i].clone(),
+            data: rows[2 * i + 1].clone(),
         })
         .collect();
     ConflictSweep {

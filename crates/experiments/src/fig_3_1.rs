@@ -38,72 +38,6 @@ pub fn run(cfg: &ExperimentConfig) -> Fig31 {
     Fig31 { rows }
 }
 
-/// [`run`] by the single-pass engine: one [`jouppi_cache::LruSweep`] over
-/// levels {1, `num_sets`} per (benchmark, side) replaces the classified
-/// simulator, reading the same three-C breakdown off stack depths —
-/// compulsory ⇔ first touch; a direct-mapped miss ⇔ cold or within-set
-/// depth > 1; capacity ⇔ a non-cold miss whose *global* depth exceeds the
-/// cache's line count (i.e. the classifier's fully-associative shadow
-/// would also have missed); conflict otherwise. Exactly equal to [`run`]
-/// (pinned by the `single_pass_engine_matches_classifier` test and the
-/// cross-crate equivalence suite).
-pub fn run_single_pass(cfg: &ExperimentConfig) -> Fig31 {
-    let geom = baseline_l1();
-    let traces = record_traces(cfg);
-    let jobs = traces.len() * 2;
-    let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
-    let cells = sweep::map_jobs_sized(jobs, total / jobs as u64, |job| {
-        let (_, trace) = &traces[job / 2];
-        let side = Side::BOTH[job % 2];
-        classify_side_single_pass(trace, side, geom)
-    });
-    let rows = traces
-        .iter()
-        .enumerate()
-        .map(|(i, (b, _))| (*b, cells[2 * i], cells[2 * i + 1]))
-        .collect();
-    Fig31 { rows }
-}
-
-/// Three-C breakdown of one side via stack depths (see
-/// [`run_single_pass`]).
-fn classify_side_single_pass(
-    trace: &jouppi_trace::RecordedTrace,
-    side: Side,
-    geom: jouppi_cache::CacheGeometry,
-) -> MissBreakdown {
-    let view = side.view(trace);
-    let mut sweep_engine = jouppi_cache::LruSweep::for_set_counts(&[1, geom.num_sets()])
-        .expect("baseline set counts are powers of two");
-    let num_lines = geom.num_lines();
-    let mut breakdown = MissBreakdown::new();
-    let mut observe = |line| {
-        let (cold, depths) = sweep_engine.observe_depths(line);
-        let global_depth = u64::from(depths[0]);
-        let set_depth = u64::from(depths[1]);
-        if cold {
-            breakdown.compulsory += 1;
-        } else if set_depth > geom.associativity() {
-            if global_depth > num_lines {
-                breakdown.capacity += 1;
-            } else {
-                breakdown.conflict += 1;
-            }
-        }
-    };
-    if let Some(lines) = view.lines_for(geom.line_size()) {
-        for &line in lines {
-            observe(line);
-        }
-    } else {
-        for &addr in view.addrs() {
-            observe(addr.line(geom.line_size()));
-        }
-    }
-    sweep::note_single_pass_refs(view.addrs().len() as u64);
-    breakdown
-}
-
 impl Fig31 {
     /// Average fraction of instruction misses due to conflicts (the paper
     /// reports 29%).
@@ -177,14 +111,6 @@ mod tests {
         // met has by far the highest data conflict ratio.
         assert_eq!(f.highest_data_conflict(), Benchmark::Met);
         assert!(f.render().contains("average"));
-    }
-
-    #[test]
-    fn single_pass_engine_matches_classifier() {
-        // Exact equality, not approximation: the Mattson-engine rework
-        // must reproduce the classifier's breakdowns bit for bit.
-        let cfg = ExperimentConfig::with_scale(30_000);
-        assert_eq!(run(&cfg), run_single_pass(&cfg));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! cells). [`run_per_cell`] is the demoted per-cell simulator, kept as
 //! the cross-check oracle: one [`jouppi_cache::Cache`] replay per
 //! (cell × policy), exactly equal by the
-//! `single_pass_equivalence` test suite and `sweep-bench --smoke
-//! --mode single_pass`.
+//! `single_pass_equivalence` test suite and `sweep-bench --smoke`.
 
 use jouppi_cache::{Cache, CacheGeometry, FifoSweep, LruSweep, ReplacementPolicy};
 use jouppi_report::{rate, Table};

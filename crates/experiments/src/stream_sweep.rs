@@ -6,8 +6,8 @@ use jouppi_report::{Chart, Series, Table};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{
-    average, baseline_l1, classify_side, pct_of_misses_removed, record_traces, run_side,
-    run_side_gang, ExperimentConfig, Side, GANG_WIDTH,
+    average, baseline_l1, classify_side, pct_of_misses_removed, record_traces, run_side_gang,
+    ExperimentConfig, Side,
 };
 use crate::sweep;
 
@@ -44,14 +44,14 @@ fn config(ways: usize, run: usize) -> AugmentedConfig {
 }
 
 /// Runs the sweep for run lengths `0..=max_run` with `ways` parallel
-/// buffers on the fused engine.
+/// buffers.
 ///
-/// The unit of scheduled work is one (benchmark × side) cell: it
+/// The unit of scheduled work is one (benchmark × side) job: it
 /// classifies that side once (the total-miss denominator) and then
-/// replays the side through [`run_side_gang`] gangs of up to
-/// [`GANG_WIDTH`] run-length configurations. Results are bit-identical
-/// to [`run_per_cell`] (pinned by the `fused_per_cell_equivalence`
-/// test).
+/// replays the side through every run-length configuration back to back
+/// ([`run_side_gang`]). The 12 jobs fan over the sweep engine; results
+/// never depend on the thread count (pinned by the
+/// `sequential_parallel_equivalence` test).
 pub fn run(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
@@ -60,57 +60,22 @@ pub fn run(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
     let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
     // Each cell classifies once, then replays its side once per config.
     let refs_per_job = total / jobs as u64 * (1 + cfgs.len() as u64);
-    let rows = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
+    let rows: Vec<Vec<f64>> = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
         let (_, trace) = &traces[cell / 2];
         let side = Side::BOTH[cell % 2];
         let misses = classify_side(trace, side, geom).0;
-        let mut removed = Vec::with_capacity(max_run + 1);
-        for chunk in cfgs.chunks(GANG_WIDTH) {
-            for stats in run_side_gang(trace, side, chunk) {
-                removed.push(pct_of_misses_removed(stats.removed_misses(), misses));
-            }
-        }
-        removed
+        run_side_gang(trace, side, &cfgs)
+            .iter()
+            .map(|stats| pct_of_misses_removed(stats.removed_misses(), misses))
+            .collect()
     });
-    assemble(ways, max_run, &traces, |cell| rows[cell].clone())
-}
-
-/// Runs the sweep with one scheduled cell per (benchmark × side ×
-/// run-length) simulation — the pre-fusion engine, kept as the reference
-/// implementation the fused path is checked against.
-pub fn run_per_cell(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
-    let geom = baseline_l1();
-    let traces = record_traces(cfg);
-    let sides = traces.len() * 2;
-    let runs = max_run + 1;
-    let misses = sweep::map_jobs(sides, |cell| {
-        let (_, trace) = &traces[cell / 2];
-        classify_side(trace, Side::BOTH[cell % 2], geom).0
-    });
-    let removed = sweep::map_jobs(sides * runs, |job| {
-        let cell = job / runs;
-        let (_, trace) = &traces[cell / 2];
-        let stats = run_side(trace, Side::BOTH[cell % 2], config(ways, job % runs));
-        pct_of_misses_removed(stats.removed_misses(), misses[cell])
-    });
-    assemble(ways, max_run, &traces, |cell| {
-        removed[cell * runs..(cell + 1) * runs].to_vec()
-    })
-}
-
-fn assemble(
-    ways: usize,
-    max_run: usize,
-    traces: &[(Benchmark, jouppi_trace::RecordedTrace)],
-    curve: impl Fn(usize) -> Vec<f64>,
-) -> StreamSweep {
     let benchmarks = traces
         .iter()
         .enumerate()
         .map(|(i, (b, _))| BenchStream {
             benchmark: *b,
-            instr: curve(2 * i),
-            data: curve(2 * i + 1),
+            instr: rows[2 * i].clone(),
+            data: rows[2 * i + 1].clone(),
         })
         .collect();
     StreamSweep {

@@ -5,14 +5,14 @@
 //! Three layers of pinning:
 //! * the full [`jouppi_experiments::single_pass`] sweep on real
 //!   benchmark traces against its per-cell oracle;
-//! * the fig_3_1 three-C breakdowns computed by stack depths against the
-//!   classifying simulator;
+//! * the fig_3_1 three-C breakdowns of the classifying simulator against
+//!   an independent test-local oracle that reads them off stack depths;
 //! * the raw engines on adversarial synthetic streams (cyclic thrash,
 //!   Belady's-anomaly stream, conflict-heavy strides) against
 //!   [`jouppi_cache::Cache`] oracles cell by cell.
 
-use jouppi_cache::{Cache, CacheGeometry, FifoSweep, LruSweep, ReplacementPolicy};
-use jouppi_experiments::common::ExperimentConfig;
+use jouppi_cache::{Cache, CacheGeometry, FifoSweep, LruSweep, MissBreakdown, ReplacementPolicy};
+use jouppi_experiments::common::{baseline_l1, record_traces, ExperimentConfig, Side};
 use jouppi_experiments::{fig_3_1, single_pass};
 use jouppi_trace::LineAddr;
 
@@ -26,10 +26,51 @@ fn geometry_sweep_single_pass_equals_per_cell() {
     assert_eq!(single_pass::run(&cfg), single_pass::run_per_cell(&cfg));
 }
 
+/// Three-C breakdown of a direct-mapped cache read off stack depths, with
+/// no classifier code: one [`LruSweep`] over levels {1, `num_sets`}.
+/// Compulsory ⇔ first touch; a direct-mapped miss ⇔ cold or within-set
+/// depth > associativity; capacity ⇔ a non-cold miss whose *global*
+/// depth exceeds the cache's line count (a fully-associative LRU cache
+/// of the same size would also have missed); conflict otherwise.
+fn stack_depth_breakdown(lines: &[LineAddr], geom: CacheGeometry) -> MissBreakdown {
+    let mut sweep = LruSweep::for_set_counts(&[1, geom.num_sets()]).expect("powers of two");
+    let mut breakdown = MissBreakdown::new();
+    for &line in lines {
+        let (cold, depths) = sweep.observe_depths(line);
+        if cold {
+            breakdown.compulsory += 1;
+        } else if u64::from(depths[1]) > geom.associativity() {
+            if u64::from(depths[0]) > geom.num_lines() {
+                breakdown.capacity += 1;
+            } else {
+                breakdown.conflict += 1;
+            }
+        }
+    }
+    breakdown
+}
+
 #[test]
-fn fig_3_1_single_pass_equals_classifier() {
+fn fig_3_1_classifier_equals_stack_depth_oracle() {
     let cfg = smoke_cfg();
-    assert_eq!(fig_3_1::run(&cfg), fig_3_1::run_single_pass(&cfg));
+    let geom = baseline_l1();
+    let traces = record_traces(&cfg);
+    let fig = fig_3_1::run(&cfg);
+    for ((b, trace), (row_b, instr, data)) in traces.iter().zip(&fig.rows) {
+        assert_eq!(b, row_b);
+        for (side, got) in [(Side::Instruction, instr), (Side::Data, data)] {
+            let lines = side
+                .view(trace)
+                .lines_for(geom.line_size())
+                .expect("baseline line size is pre-derived");
+            assert_eq!(
+                *got,
+                stack_depth_breakdown(lines, geom),
+                "{b} {}",
+                side.label()
+            );
+        }
+    }
 }
 
 /// Adversarial line streams: cyclic LRU thrash just past each capacity

@@ -84,8 +84,6 @@ pub struct Sampled {
     /// References answered by the single-pass multi-geometry engine
     /// (`jouppi_experiments::sweep::single_pass_refs`).
     pub single_pass_refs: u64,
-    /// Replay throughput (refs/s) of the last completed named sweep.
-    pub refs_per_second: u64,
     /// Result-cache memo hits (`jouppi_result_cache_hits_total`).
     pub result_cache_hits: u64,
     /// Result-cache misses that computed (`jouppi_result_cache_misses_total`).
@@ -171,7 +169,7 @@ impl Registry {
                 histogram.render(endpoint, &mut out);
             }
         }
-        let gauges: [(&str, &str, u64); 13] = [
+        let gauges: [(&str, &str, u64); 12] = [
             (
                 "jouppi_jobs_queue_depth",
                 "Jobs waiting in the bounded queue.",
@@ -206,11 +204,6 @@ impl Registry {
                 "jouppi_single_pass_refs_total",
                 "References answered by the single-pass multi-geometry engine.",
                 sampled.single_pass_refs,
-            ),
-            (
-                "jouppi_refs_per_second",
-                "Replay throughput of the last completed sweep.",
-                sampled.refs_per_second,
             ),
             (
                 "jouppi_result_cache_hits_total",
@@ -271,7 +264,6 @@ mod tests {
             refs_simulated: 1_000,
             sweep_cells: 12,
             single_pass_refs: 555,
-            refs_per_second: 1_234,
             result_cache_hits: 40,
             result_cache_misses: 9,
             result_cache_evictions: 2,
@@ -289,8 +281,8 @@ mod tests {
         assert!(text.contains("jouppi_refs_simulated_total 1000"));
         assert!(text.contains("# TYPE jouppi_single_pass_refs_total counter"));
         assert!(text.contains("jouppi_single_pass_refs_total 555"));
-        assert!(text.contains("# TYPE jouppi_refs_per_second gauge"));
-        assert!(text.contains("jouppi_refs_per_second 1234"));
+        // Throughput is rate() over the counters, not a gauge of its own.
+        assert!(!text.contains("per_second"));
         assert!(text.contains("# TYPE jouppi_result_cache_hits_total counter"));
         assert!(text.contains("jouppi_result_cache_hits_total 40"));
         assert!(text.contains("jouppi_result_cache_misses_total 9"));

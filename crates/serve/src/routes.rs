@@ -88,7 +88,6 @@ fn metrics(ctx: &Ctx) -> Response {
         refs_simulated: refs_simulated(),
         sweep_cells: cells_executed(),
         single_pass_refs: single_pass_refs(),
-        refs_per_second: sweeps::last_sweep_refs_per_second(),
         result_cache_hits: cache.hits,
         result_cache_misses: cache.misses,
         result_cache_evictions: cache.evictions,

@@ -6,29 +6,11 @@
 //! integration test can run the same sweep in-process and require the
 //! served bytes to match **bit-for-bit**.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use jouppi_experiments::common::{refs_simulated, ExperimentConfig};
-use jouppi_experiments::sweep::single_pass_refs;
+use jouppi_experiments::common::ExperimentConfig;
 use jouppi_experiments::{conflict_sweep, fig_3_1, single_pass, stream_sweep};
 use jouppi_workloads::Scale;
 
 use crate::json::Json;
-
-/// Replay throughput (references per second) of the most recently
-/// completed named sweep; 0 until a sweep finishes. Concurrent sweeps
-/// share the process-wide reference counter, so under overlap the gauge
-/// reads combined throughput — fine for an operational gauge.
-static LAST_SWEEP_REFS_PER_SECOND: AtomicU64 = AtomicU64::new(0);
-
-/// The `jouppi_refs_per_second` gauge: throughput of the last completed
-/// sweep.
-pub fn last_sweep_refs_per_second() -> u64 {
-    // jouppi-lint: allow(relaxed-ordering) — single-word operational
-    // gauge; any published value is a complete, valid sample.
-    LAST_SWEEP_REFS_PER_SECOND.load(Ordering::Relaxed)
-}
 
 /// The sweeps the service knows how to run.
 pub const NAMED_SWEEPS: [&str; 6] = [
@@ -42,13 +24,17 @@ pub const NAMED_SWEEPS: [&str; 6] = [
 
 /// The execution engines a named sweep accepts (first = default).
 ///
-/// Pure size × associativity sweeps route to the single-pass Mattson
-/// engine; sweeps whose cells augment the L1 (victim caches, stream
-/// buffers) stay on the fused gang engine, which is the only one that
-/// can express them.
+/// `geometry_grid`, a pure size × associativity sweep, defaults to the
+/// single-pass Mattson engine and keeps its per-cell simulator as the
+/// oracle engine. `fig_3_1` runs the three-C classifier. The four sweeps
+/// whose cells augment the L1 (miss and victim caches, stream buffers)
+/// have one engine, `"fused"`: the name now stands for the schedule's
+/// (benchmark, side) job — classify the side once, then replay it
+/// through each configuration back to back — and is kept so `/v1/sweep`
+/// documents do not change.
 pub fn engines_for(name: &str) -> &'static [&'static str] {
     match name {
-        "fig_3_1" => &["classify", "single_pass"],
+        "fig_3_1" => &["classify"],
         "geometry_grid" => &["single_pass", "per_cell"],
         _ => &["fused"],
     }
@@ -85,11 +71,8 @@ pub fn run_named(name: &str, cfg: &ExperimentConfig) -> Option<Json> {
 /// (the router 400s with the [`NAMED_SWEEPS`] / [`engines_for`]
 /// catalogs).
 pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Option<Json> {
-    let refs_before = refs_simulated() + single_pass_refs();
-    let start = Instant::now(); // jouppi-lint: allow(transitive-purity) — wall-clock feeds only the refs/sec throughput gauge below; the result document never includes it
     let body = match (name, engine) {
         ("fig_3_1", "classify") => fig31_json(&fig_3_1::run(cfg)),
-        ("fig_3_1", "single_pass") => fig31_json(&fig_3_1::run_single_pass(cfg)),
         ("miss_cache_4", "fused") => conflict_json(&conflict_sweep::run(
             cfg,
             conflict_sweep::Mechanism::MissCache,
@@ -106,15 +89,6 @@ pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Opt
         ("geometry_grid", "per_cell") => geometry_json(&single_pass::run_per_cell(cfg)),
         _ => return None,
     };
-    let seconds = start.elapsed().as_secs_f64();
-    // Both engine families feed the throughput gauge: per-cell replays
-    // count via refs_simulated, one-pass traversals via single_pass_refs.
-    let refs = (refs_simulated() + single_pass_refs()).saturating_sub(refs_before);
-    if seconds > 0.0 && refs > 0 {
-        // jouppi-lint: allow(relaxed-ordering) — single-word gauge store;
-        // no other memory is published alongside it.
-        LAST_SWEEP_REFS_PER_SECOND.store((refs as f64 / seconds) as u64, Ordering::Relaxed);
-    }
     let mut doc = vec![
         ("sweep".to_owned(), Json::str(name)),
         ("engine".to_owned(), Json::str(engine)),
@@ -340,12 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn fig_3_1_engines_agree() {
+    fn engines_a_sweep_does_not_accept_are_rejected() {
         let cfg = sweep_config(5_000, 42).unwrap();
-        let classify = run_named_engine("fig_3_1", &cfg, "classify").unwrap();
-        let single = run_named_engine("fig_3_1", &cfg, "single_pass").unwrap();
-        assert_eq!(classify.get("rows"), single.get("rows"));
-        // Engines a sweep does not accept are rejected.
+        assert!(run_named_engine("fig_3_1", &cfg, "classify").is_some());
+        assert!(run_named_engine("fig_3_1", &cfg, "single_pass").is_none());
         assert!(run_named_engine("fig_3_1", &cfg, "fused").is_none());
         assert!(run_named_engine("victim_cache_4", &cfg, "single_pass").is_none());
     }
