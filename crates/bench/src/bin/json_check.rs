@@ -17,7 +17,8 @@
 //! all four size counters (a workspace scan always builds a non-empty
 //! graph). Exits nonzero naming every file that fails.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(clippy::print_stderr, reason = "a binary does the printing")]
 
 use std::process::ExitCode;
 

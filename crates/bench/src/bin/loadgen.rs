@@ -22,7 +22,8 @@
 //!   cache's observable behavior (miss → hit; bypass stays bypass) and
 //!   exit; nonzero on failure. CI's cache gate.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(clippy::print_stderr, reason = "a binary does the printing")]
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -154,6 +155,10 @@ fn overflow_burst(addr: SocketAddr, submissions: usize) -> (u64, u64, bool) {
 /// The simulate body for one Zipf rank: each rank is a distinct
 /// (workload, seed) configuration, so distinct ranks never share a
 /// cache entry.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "only the rank modulo WORKLOADS.len() is used, and any usize indexes the table"
+)]
 fn zipf_body(rank: u64) -> Json {
     Json::obj([
         (
@@ -363,6 +368,10 @@ fn cache_smoke() {
 }
 
 /// Pulls one counter out of the Prometheus exposition text.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Prometheus prints these counters as whole, non-negative floats well inside u64"
+)]
 fn scrape_counter(metrics: &str, name: &str) -> u64 {
     metrics
         .lines()

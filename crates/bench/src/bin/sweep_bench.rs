@@ -25,7 +25,8 @@
 //! (benchmark, side, policy), so its refs/s is far above the replaying
 //! sweeps'.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(clippy::print_stderr, reason = "a binary does the printing")]
 
 use std::process::ExitCode;
 use std::time::Instant;

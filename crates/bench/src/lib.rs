@@ -16,7 +16,7 @@
 //! output. This library hosts the measurement records and their JSON
 //! rendering so both can be unit-tested.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 use jouppi_experiments::common::ExperimentConfig;
@@ -127,6 +127,10 @@ impl LatencySummary {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let pct = |p: f64| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "p is a percentile in (0, 1], so ceil(len * p) lies in [0, len]"
+            )]
             let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
             sorted[idx]
         };

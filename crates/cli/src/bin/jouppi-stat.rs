@@ -1,7 +1,12 @@
 //! `jouppi-stat` — trace statistics, footprints, and miss-rate curves.
 //! See [`jouppi_cli::stat`] for the option reference.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary does the printing"
+)]
 
 use std::process::ExitCode;
 

@@ -6,7 +6,12 @@
 //! jouppi lint [OPTIONS]    check the workspace invariants (jouppi-lint)
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary does the printing"
+)]
 
 use std::process::ExitCode;
 

@@ -14,7 +14,7 @@
 //! Parsing lives in this library crate so it is unit-testable; `main` is
 //! a thin shell around [`parse_args`] and [`run`].
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod serve_cmd;
@@ -564,7 +564,7 @@ mod tests {
 
     #[test]
     fn export_and_reimport_roundtrip() {
-        let dir = std::env::temp_dir().join("jouppi-cli-test");
+        let dir = std::env::temp_dir().join(format!("jouppi-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.din").to_string_lossy().into_owned();
         let mut o = parse(&["--workload", "ccom", "--export", &path]).unwrap();
@@ -575,7 +575,8 @@ mod tests {
         let o2 = parse(&["--trace", &path]).unwrap();
         let out2 = run(&o2).unwrap();
         assert!(out2.contains("demand miss rate"));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&path).expect("remove the exported trace");
+        std::fs::remove_dir(&dir).expect("remove the scratch directory");
     }
 
     #[test]

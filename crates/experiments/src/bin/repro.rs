@@ -9,7 +9,12 @@
 //!             fig-4-7 | overlap | fig-5-1
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary does the printing"
+)]
 
 use std::process::ExitCode;
 

@@ -46,6 +46,10 @@ pub fn run(cfg: &ExperimentConfig) -> Fig41 {
 impl Fig41 {
     /// Fraction of useful prefetches needed within `t` issues for a
     /// technique (0.0 if the technique is missing or `t` out of range).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every caller passes a constant t <= MAX_LEAD (26), far inside usize"
+    )]
     pub fn within(&self, tech: PrefetchTechnique, t: u64) -> f64 {
         self.curves
             .iter()

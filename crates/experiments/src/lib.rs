@@ -48,7 +48,7 @@
 //! println!("average improvement: {:.0}%", result.avg_improvement_pct());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod checks;

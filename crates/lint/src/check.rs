@@ -167,7 +167,7 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
     let (mut directives, mut findings) = parse_directives(&lexed, &in_test);
 
     for &lint in &active {
-        scan_lint(lint, ctx, &lexed, &in_test, &mut findings);
+        scan_lint(lint, &lexed, &in_test, &mut findings);
     }
     timings.push(("lex+v1-lints", t0.elapsed()));
 
@@ -177,8 +177,6 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
             LintId::LockOrder
                 | LintId::BlockingUnderLock
                 | LintId::UnboundedGrowth
-                | LintId::SwallowedResult
-                | LintId::TruncatingCast
                 | LintId::PanicReachability
                 | LintId::TransitivePurity
                 | LintId::UntrustedSizeTaint
@@ -201,7 +199,7 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
         let t0 = Instant::now();
         let ast = parse(&lexed);
         timings.push(("parse", t0.elapsed()));
-        let out = analyses::run(ctx, &active, &ast);
+        let out = analyses::run(&active, &ast);
         findings.extend(out.findings.into_iter().filter(|f| !in_test(f.line)));
         lock_edges = out
             .lock_edges
@@ -493,7 +491,6 @@ fn is_test_attribute(content: &[Token]) -> bool {
 /// Runs one lint's token scan, appending findings.
 fn scan_lint(
     lint: LintId,
-    ctx: &FileContext,
     lexed: &Lexed,
     in_test: &dyn Fn(u32) -> bool,
     findings: &mut Vec<Finding>,
@@ -567,68 +564,6 @@ fn scan_lint(
                 }
             }
         }
-        LintId::ServePanic => {
-            for (i, t) in tokens.iter().enumerate() {
-                if let Some(name @ ("unwrap" | "expect")) = t.ident() {
-                    if i > 0 && tokens[i - 1].is_punct('.') {
-                        hit(
-                            t.line,
-                            format!(
-                                "`.{name}()` in jouppi-serve — map the error to a 4xx/5xx \
-                                 response or propagate it with `?`"
-                            ),
-                        );
-                    }
-                }
-                if let Some(name @ ("panic" | "todo" | "unimplemented" | "unreachable")) = t.ident()
-                {
-                    if tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-                        hit(
-                            t.line,
-                            format!(
-                                "`{name}!` in jouppi-serve — the request loop must never \
-                                 panic; return an error response instead"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        LintId::ForbidUnsafe => {
-            if !has_forbid_unsafe(tokens) {
-                findings.push(Finding {
-                    line: 1,
-                    lint,
-                    message: format!(
-                        "crate root `{}` is missing `#![forbid(unsafe_code)]`",
-                        ctx.rel_path
-                    ),
-                });
-            }
-        }
-        LintId::DebugPrint => {
-            for (i, t) in tokens.iter().enumerate() {
-                let Some(name) = t.ident() else { continue };
-                if !tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-                    continue;
-                }
-                if name == "dbg" {
-                    hit(
-                        t.line,
-                        "`dbg!` left in committed code — remove it".to_owned(),
-                    );
-                } else if !ctx.is_bin && matches!(name, "println" | "print" | "eprintln" | "eprint")
-                {
-                    hit(
-                        t.line,
-                        format!(
-                            "`{name}!` in library code — return the text to the caller \
-                             (binaries do the printing)"
-                        ),
-                    );
-                }
-            }
-        }
         LintId::RelaxedOrdering => {
             for (i, t) in tokens.iter().enumerate() {
                 if t.ident() == Some("Relaxed")
@@ -654,8 +589,6 @@ fn scan_lint(
         LintId::LockOrder
         | LintId::BlockingUnderLock
         | LintId::UnboundedGrowth
-        | LintId::SwallowedResult
-        | LintId::TruncatingCast
         | LintId::PanicReachability
         | LintId::TransitivePurity
         | LintId::UntrustedSizeTaint
@@ -707,20 +640,6 @@ fn has_hasher_param(tokens: &[Token], mut i: usize, required_commas: usize) -> b
         k += 1;
     }
     false
-}
-
-/// Whether the token stream contains `#![forbid(unsafe_code)]`.
-fn has_forbid_unsafe(tokens: &[Token]) -> bool {
-    tokens.windows(8).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].ident() == Some("forbid")
-            && w[4].is_punct('(')
-            && w[5].ident() == Some("unsafe_code")
-            && w[6].is_punct(')')
-            && w[7].is_punct(']')
-    })
 }
 
 #[cfg(test)]
@@ -828,60 +747,6 @@ fn f() -> HashSet<u64> { HashSet::new() }
         assert_eq!(flagged("let m: BTreeMap<u64, u32> = BTreeMap::new();"), 0);
         // fn-pointer arrow inside the generics must not close the list.
         assert_eq!(flagged("struct S { m: HashMap<u64, fn(u8) -> u16, H> }"), 0);
-    }
-
-    #[test]
-    fn serve_panic_matches_exact_idents_only() {
-        let ctx = classify("crates/serve/src/fixture.rs").expect("serve context");
-        let src = "\
-fn f(r: Result<u8, ()>) {
-    let a = r.unwrap();
-    let b = r.expect(\"x\");
-    let c = r.unwrap_or_else(|_| 0);
-    let d = r.unwrap_or_default();
-    std::panic::catch_unwind(|| ());
-    panic!(\"boom\");
-}
-";
-        let f = run(&ctx, src);
-        let panics: Vec<u32> = f
-            .iter()
-            .filter(|f| f.lint == LintId::ServePanic)
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(panics, vec![2, 3, 7]);
-    }
-
-    #[test]
-    fn forbid_unsafe_required_on_crate_roots_only() {
-        let root = classify("crates/cache/src/lib.rs").expect("root");
-        let module = classify("crates/cache/src/lru.rs").expect("module");
-        let src = "fn f() {}\n";
-        assert!(run(&root, src)
-            .iter()
-            .any(|f| f.lint == LintId::ForbidUnsafe));
-        assert!(run(&module, src).is_empty());
-        let good = "#![forbid(unsafe_code)]\nfn f() {}\n";
-        assert!(run(&root, good).is_empty());
-    }
-
-    #[test]
-    fn debug_print_policy() {
-        let lib = classify("crates/report/src/fixture.rs").expect("lib");
-        let bin = classify("crates/cli/src/bin/fixture.rs").expect("bin");
-        let src = "fn f() { println!(\"x\"); dbg!(1); }";
-        let lib_lints: Vec<LintId> = run(&lib, src).iter().map(|f| f.lint).collect();
-        assert_eq!(lib_lints, vec![LintId::DebugPrint, LintId::DebugPrint]);
-        // Binaries may print, but dbg! is still flagged; the missing
-        // forbid(unsafe_code) also fires since bin files are crate roots.
-        let bin_findings = run(&bin, src);
-        let dbg_only: Vec<&str> = bin_findings
-            .iter()
-            .filter(|f| f.lint == LintId::DebugPrint)
-            .map(|f| f.message.as_str())
-            .collect();
-        assert_eq!(dbg_only.len(), 1);
-        assert!(dbg_only[0].contains("dbg!"));
     }
 
     #[test]

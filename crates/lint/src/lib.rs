@@ -4,10 +4,14 @@
 //! reproduced bit-for-bit, and the fused gang scheduler is bit-identical
 //! to per-cell scheduling. Those guarantees rest on conventions the
 //! compiler does not enforce — no ambient time or entropy in simulation
-//! crates, hasher-independent aggregation, no panic paths in the serve
-//! request loop. Since the workspace builds offline with zero external
-//! dependencies, tools like dylint and miri are out of reach; this crate
-//! is the checker built in the same std-only style as the rest.
+//! crates, hasher-independent aggregation, no panic reachable from the
+//! serve request loop. Since the workspace builds offline with zero
+//! external dependencies, tools like dylint and miri are out of reach;
+//! this crate is the checker built in the same std-only style as the
+//! rest. It holds only what rustc and clippy cannot check from
+//! configuration: unsafe code, debug printing, discarded results,
+//! truncating casts and direct panics in serve are denied by the root
+//! manifest's `[workspace.lints]` and crate-root attributes instead.
 //!
 //! Architecture:
 //!
@@ -22,8 +26,7 @@
 //! * [`check`] — the per-file checker, including `#[cfg(test)]` region
 //!   exemption and the suppression-directive engine;
 //! * [`analyses`] — the structural analyses (lock-order,
-//!   blocking-under-lock, unbounded-growth, swallowed-result,
-//!   truncating-cast) walking the parsed AST;
+//!   blocking-under-lock, unbounded-growth) walking the parsed AST;
 //! * [`symbols`] — per-file symbol tables (function declarations with
 //!   impl/module context, flattened `use` imports);
 //! * [`callgraph`] — the conservative workspace call graph and its
@@ -34,8 +37,6 @@
 //! * [`workspace`] — deterministic workspace walking, including the
 //!   crate-wide lock-order resolution phase and the workspace
 //!   call-graph phase;
-//! * [`baseline`] — the `lint-baseline.json` ratchet (grandfathered
-//!   findings may only shrink);
 //! * [`report`] — human `file:line` output, the `--json` document, and
 //!   the `--timings` breakdown;
 //! * [`cli`] — the driver shared by the `jouppi-lint` binary and the
@@ -62,11 +63,9 @@
 //! assert!(clean.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyses;
-pub mod baseline;
 pub mod callgraph;
 pub mod check;
 pub mod cli;

@@ -1,4 +1,6 @@
-//! The lint catalog: every invariant `jouppi-lint` enforces.
+//! The lint catalog: every invariant `jouppi-lint` enforces. Invariants
+//! rustc and clippy check from configuration live in the root manifest's
+//! `[workspace.lints]`.
 
 use std::fmt;
 
@@ -13,13 +15,6 @@ pub enum LintId {
     AmbientRng,
     /// Default-hasher `HashMap`/`HashSet` in simulation crates.
     DefaultHasher,
-    /// `unwrap`/`expect`/`panic!`/`todo!`/… in `jouppi-serve` request
-    /// handling.
-    ServePanic,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
-    /// `dbg!` anywhere, or `println!`-family macros in library code.
-    DebugPrint,
     /// `Ordering::Relaxed` in crates whose cross-thread counters feed
     /// reported results.
     RelaxedOrdering,
@@ -32,12 +27,6 @@ pub enum LintId {
     /// Long-lived server/sweep collection state that only grows —
     /// no eviction, pruning, or capacity path anywhere in the file.
     UnboundedGrowth,
-    /// A `Result` discarded with `let _ =` or a bare trailing `.ok()` in
-    /// non-test code.
-    SwallowedResult,
-    /// An `as` cast to a narrower integer type on a computed value
-    /// feeding counters or JSON results.
-    TruncatingCast,
     /// An undocumented panic site (`panic!`-family macro or bare
     /// `.unwrap()`) transitively reachable from a serve request-handling
     /// entrypoint.
@@ -58,19 +47,14 @@ pub enum LintId {
 }
 
 /// Every catalog entry, in reporting order.
-pub const ALL_LINTS: [LintId; 18] = [
+pub const ALL_LINTS: [LintId; 13] = [
     LintId::AmbientTime,
     LintId::AmbientRng,
     LintId::DefaultHasher,
-    LintId::ServePanic,
-    LintId::ForbidUnsafe,
-    LintId::DebugPrint,
     LintId::RelaxedOrdering,
     LintId::LockOrder,
     LintId::BlockingUnderLock,
     LintId::UnboundedGrowth,
-    LintId::SwallowedResult,
-    LintId::TruncatingCast,
     LintId::PanicReachability,
     LintId::TransitivePurity,
     LintId::UntrustedSizeTaint,
@@ -86,15 +70,10 @@ impl LintId {
             LintId::AmbientTime => "ambient-time",
             LintId::AmbientRng => "ambient-rng",
             LintId::DefaultHasher => "default-hasher",
-            LintId::ServePanic => "serve-panic",
-            LintId::ForbidUnsafe => "forbid-unsafe",
-            LintId::DebugPrint => "debug-print",
             LintId::RelaxedOrdering => "relaxed-ordering",
             LintId::LockOrder => "lock-order",
             LintId::BlockingUnderLock => "blocking-under-lock",
             LintId::UnboundedGrowth => "unbounded-growth",
-            LintId::SwallowedResult => "swallowed-result",
-            LintId::TruncatingCast => "truncating-cast",
             LintId::PanicReachability => "panic-reachability",
             LintId::TransitivePurity => "transitive-purity",
             LintId::UntrustedSizeTaint => "untrusted-size-taint",
@@ -124,18 +103,6 @@ impl LintId {
                 "no default-hasher HashMap/HashSet in simulation crates — use the FxHash types \
                  from jouppi_cache::line_hash (deterministic, fast) or a BTree collection"
             }
-            LintId::ServePanic => {
-                "no unwrap/expect/panic!/todo!/unreachable!/unimplemented! in jouppi-serve \
-                 — request handling returns 4xx/5xx documents, never panics"
-            }
-            LintId::ForbidUnsafe => {
-                "every crate root (lib.rs, main.rs, src/bin/*.rs) carries \
-                 #![forbid(unsafe_code)]"
-            }
-            LintId::DebugPrint => {
-                "no dbg! anywhere and no println!/print!/eprintln!/eprint! in library code \
-                 — libraries return strings; binaries do the printing"
-            }
             LintId::RelaxedOrdering => {
                 "Ordering::Relaxed on counters that feed reported results needs a written \
                  justification (fetch_add totals are exact, cross-variable ordering is not)"
@@ -151,16 +118,6 @@ impl LintId {
             LintId::UnboundedGrowth => {
                 "long-lived collection state in serve/experiments must have an eviction, \
                  pruning, or capacity path — push/insert with no shrink leaks under load"
-            }
-            LintId::SwallowedResult => {
-                "no `let _ = …` or bare trailing `.ok()` discarding a call's Result in \
-                 non-test code — handle the error, propagate it, or suppress with the reason \
-                 the failure is benign"
-            }
-            LintId::TruncatingCast => {
-                "no `as` cast to a narrower integer on computed values that feed /metrics \
-                 counters or JSON results — use try_from so overflow is an error, not a \
-                 silent wrap"
             }
             LintId::PanicReachability => {
                 "no undocumented panic site — panic!-family macro or bare .unwrap() — \

@@ -1,7 +1,11 @@
 //! `jouppi-lint` — see [`jouppi_lint`] for the lint catalog and
 //! suppression syntax.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary does the printing"
+)]
 
 use std::process::ExitCode;
 

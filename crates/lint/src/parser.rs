@@ -2,13 +2,12 @@
 //! structural analyses.
 //!
 //! The v1 lints match flat token patterns; the v2 analyses (lock-order,
-//! blocking-under-lock, unbounded-growth, swallowed-result,
-//! truncating-cast) need *structure*: which `let` binds what, where a
-//! block ends, what a method-call chain's receiver is, what a cast's
-//! target type is. This parser recovers exactly that much shape from the
-//! lexer's token stream — items, blocks, statements, and expressions —
-//! and deliberately nothing more: no types are resolved, no names
-//! checked, no macro expanded.
+//! blocking-under-lock, unbounded-growth) and the interprocedural passes
+//! need *structure*: which `let` binds what, where a block ends, what a
+//! method-call chain's receiver is. This parser recovers exactly that
+//! much shape from the lexer's token stream — items, blocks, statements,
+//! and expressions — and deliberately nothing more: no types are
+//! resolved, no names checked, no macro expanded.
 //!
 //! Design rules, in order:
 //!
@@ -27,9 +26,11 @@
 //! sub-pattern guard is invisible; turbofish and generic argument lists
 //! are skipped, not parsed.
 
-// The scanning loops peek, then mutate `self` (bump/recover) mid-body;
-// `while let` would hold the peek borrow across those calls.
-#![allow(clippy::while_let_loop)]
+#![expect(
+    clippy::while_let_loop,
+    reason = "the scanning loops peek, then mutate `self` (bump/recover) mid-body; \
+              `while let` would hold the peek borrow across those calls"
+)]
 
 use crate::lexer::{Lexed, TokKind, Token};
 
@@ -228,8 +229,6 @@ pub struct LetStmt {
     /// Lower-case identifiers bound by the pattern (constructor path
     /// segments and keywords excluded).
     pub names: Vec<String>,
-    /// Whether the pattern is exactly the wildcard `_`.
-    pub underscore: bool,
     /// The initializer, when present.
     pub init: Option<Expr>,
     /// The `else { … }` block of a let-else, when present.
@@ -1164,7 +1163,7 @@ impl<'a> P<'a> {
     fn let_stmt(&mut self) -> LetStmt {
         let line = self.line();
         self.eat_ident("let");
-        let (names, underscore) = self.pattern_names(&['=', ':', ';']);
+        let names = self.pattern_names(&['=', ':', ';']);
         if self.eat_punct(':') {
             self.type_words_until(&['=', ';']);
         }
@@ -1186,7 +1185,6 @@ impl<'a> P<'a> {
         self.eat_punct(';');
         LetStmt {
             names,
-            underscore,
             init,
             else_block,
             line,
@@ -1195,15 +1193,12 @@ impl<'a> P<'a> {
 
     /// Collects the names a pattern binds, consuming tokens until one of
     /// `stops` at bracket depth 0 (the stop is left unconsumed). Returns
-    /// the bound lower-case names and whether the pattern was exactly
-    /// `_`.
-    fn pattern_names(&mut self, stops: &[char]) -> (Vec<String>, bool) {
+    /// the bound lower-case names.
+    fn pattern_names(&mut self, stops: &[char]) -> Vec<String> {
         let mut names = Vec::new();
         let mut round = 0i32;
         let mut square = 0i32;
         let mut curly = 0i32;
-        let mut token_count = 0usize;
-        let mut lone_underscore = false;
         while let Some(tok) = self.peek() {
             if round == 0 && square == 0 && curly == 0 {
                 if let TokKind::Punct(c) = tok.kind {
@@ -1229,24 +1224,15 @@ impl<'a> P<'a> {
                     // path/constructor, not a binding.
                     let next = self.peek_at(1);
                     let path_like = next.is_some_and(|n| n.is_punct(':') || n.is_punct('('));
-                    if word == "_" && token_count == 0 {
-                        lone_underscore = true;
-                    }
                     if lower_start && !keyword && !path_like {
                         names.push(word.clone());
                     }
                 }
                 _ => {}
             }
-            if !tok.is_punct('_') {
-                // (never a punct — `_` lexes as an ident; counter is for
-                // the lone-underscore check)
-            }
-            token_count += 1;
             self.bump();
         }
-        let underscore = lone_underscore && token_count == 1;
-        (names, underscore)
+        names
     }
 
     // ---------------------------------------------------------------
@@ -1628,7 +1614,7 @@ impl<'a> P<'a> {
                     // `let` in expression position (inside `if let`
                     // chains handled by condition(); this is recovery).
                     self.bump();
-                    let (_, _) = self.pattern_names(&['=', ';', ')', '{']);
+                    self.pattern_names(&['=', ';', ')', '{']);
                     if self.eat_punct('=') {
                         self.expr(true)
                     } else {
@@ -1705,7 +1691,7 @@ impl<'a> P<'a> {
     fn condition(&mut self) -> Expr {
         if self.at_ident("let") {
             self.bump();
-            let (_, _) = self.pattern_names(&['=']);
+            self.pattern_names(&['=']);
             self.eat_punct('=');
         }
         self.expr(true)
@@ -2092,8 +2078,7 @@ mod tests {
         assert_eq!(lets[1].names, vec!["tx", "rx"]);
         assert_eq!(lets[2].names, vec!["id", "job"]);
         assert!(lets[2].else_block.is_some());
-        assert!(lets[3].underscore);
-        assert!(!lets[0].underscore);
+        assert!(lets[3].names.is_empty());
     }
 
     #[test]

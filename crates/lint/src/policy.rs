@@ -2,29 +2,32 @@
 //!
 //! Policy is keyed on a file's *workspace-relative path*. Each file gets
 //! a [`FileContext`] describing the crate it belongs to and its role
-//! (library module, binary, crate root, test), and [`lints_for`] maps
-//! that context to the set of active lints:
+//! (library module, example, test), and [`lints_for`] maps that context
+//! to the set of active lints:
 //!
-//! | crate | determinism (time/rng/hasher) | serve-panic | relaxed-ordering | unbounded-growth | truncating-cast |
-//! |---|---|---|---|---|---|
-//! | trace, cache, core, workloads, system, jouppi (root) | ✔ | | | | |
-//! | experiments | ✔ | | ✔ | ✔ | ✔ |
-//! | serve | | ✔ | ✔ | ✔ | ✔ |
-//! | cli, bench, report | | | | | ✔ |
-//! | lint | | | | | |
+//! | crate | determinism (time/rng/hasher) | relaxed-ordering | unbounded-growth |
+//! |---|---|---|---|
+//! | trace, cache, core, workloads, system, jouppi (root) | ✔ | | |
+//! | experiments | ✔ | ✔ | ✔ |
+//! | serve | | ✔ | ✔ |
+//! | cli, bench, report, lint | | | |
 //!
-//! `forbid-unsafe` applies to every crate root; `debug-print`,
-//! `lock-order`, `blocking-under-lock`, and `swallowed-result` apply to
-//! all non-test code everywhere, and the four interprocedural lints
-//! (`panic-reachability`, `transitive-purity`, `untrusted-size-taint`,
-//! `lock-held-across-call`) to every non-test file — their findings
-//! land wherever the offending function is declared.
+//! `lock-order` and `blocking-under-lock` apply to all non-test code
+//! everywhere, and the four interprocedural lints (`panic-reachability`,
+//! `transitive-purity`, `untrusted-size-taint`, `lock-held-across-call`)
+//! to every non-test file — their findings land wherever the offending
+//! function is declared.
 //!
 //! Files under `tests/` and `examples/` directories (and `#[cfg(test)]`
-//! regions) run under a **relaxed policy**: they may unwrap, print, and
-//! block freely, but in simulation crates the determinism lints
-//! (ambient-time/rng/default-hasher) still apply — a test that asserts
-//! on wall-clock time or unseeded randomness is flaky by construction.
+//! regions) run under a **relaxed policy**: they may block freely, but
+//! in simulation crates the determinism lints (ambient-time/rng/
+//! default-hasher) still apply — a test that asserts on wall-clock time
+//! or unseeded randomness is flaky by construction.
+//!
+//! The invariants rustc and clippy check from configuration (no unsafe
+//! code, no debug printing, no discarded `#[must_use]` results, no
+//! truncating casts, no panics in serve) are not in this table: they
+//! live in the root manifest's `[workspace.lints]` and at crate roots.
 
 use crate::lint::LintId;
 
@@ -42,12 +45,6 @@ pub struct FileContext {
     /// Whether the file lives under an `examples/` directory (relaxed
     /// policy, bin-like).
     pub is_example: bool,
-    /// Whether the file is part of a binary target (`main.rs`, under
-    /// `src/bin/`, or an example).
-    pub is_bin: bool,
-    /// Whether the file is a crate root (`lib.rs`, `main.rs`, or a
-    /// direct child of `src/bin/`).
-    pub is_crate_root: bool,
 }
 
 /// Crates whose outputs are simulation results, and must therefore be
@@ -74,22 +71,17 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
         ["src" | "tests" | "examples", ..] => ("jouppi".to_owned(), &parts[..]),
         _ => return None,
     };
-    let (is_test_file, is_example, in_src, tail): (bool, bool, bool, &[&str]) = match rest {
-        ["src", tail @ ..] => (false, false, true, tail),
-        ["tests", tail @ ..] => (true, false, false, tail),
-        ["examples", tail @ ..] => (false, true, false, tail),
+    let (is_test_file, is_example) = match rest {
+        ["src", ..] => (false, false),
+        ["tests", ..] => (true, false),
+        ["examples", ..] => (false, true),
         _ => return None,
     };
-    let is_bin = is_example || (in_src && (tail == ["main.rs"] || tail.first() == Some(&"bin")));
-    let is_crate_root = in_src
-        && (tail == ["lib.rs"] || tail == ["main.rs"] || (tail.len() == 2 && tail[0] == "bin"));
     Some(FileContext {
         rel_path: rel_path.to_owned(),
         crate_name,
         is_test_file,
         is_example,
-        is_bin,
-        is_crate_root,
     })
 }
 
@@ -104,37 +96,21 @@ pub fn lints_for(ctx: &FileContext) -> Vec<LintId> {
         lints.push(LintId::DefaultHasher);
     }
     if ctx.is_test_file || ctx.is_example {
-        // Relaxed policy: panics, printing, and blocking are fine in
-        // tests and examples; flaky-by-construction ambient inputs in
-        // simulation crates are not.
+        // Relaxed policy: blocking is fine in tests and examples;
+        // flaky-by-construction ambient inputs in simulation crates are
+        // not.
         return lints;
-    }
-    if ctx.crate_name == "serve" {
-        lints.push(LintId::ServePanic);
     }
     if ctx.crate_name == "experiments" || ctx.crate_name == "serve" {
         lints.push(LintId::RelaxedOrdering);
     }
-    if ctx.is_crate_root {
-        lints.push(LintId::ForbidUnsafe);
-    }
-    lints.push(LintId::DebugPrint);
-    // v2 structural analyses. The concurrency and Result-discipline
-    // lints apply everywhere; growth tracking targets the long-lived
-    // daemons (serve) and sweep state (experiments); cast tracking
-    // targets the layers that decode wire/flag values and encode
-    // counters.
+    // v2 structural analyses. The concurrency lints apply everywhere;
+    // growth tracking targets the long-lived daemons (serve) and sweep
+    // state (experiments).
     lints.push(LintId::LockOrder);
     lints.push(LintId::BlockingUnderLock);
-    lints.push(LintId::SwallowedResult);
     if ctx.crate_name == "serve" || ctx.crate_name == "experiments" {
         lints.push(LintId::UnboundedGrowth);
-    }
-    if matches!(
-        ctx.crate_name.as_str(),
-        "serve" | "cli" | "bench" | "report" | "experiments"
-    ) {
-        lints.push(LintId::TruncatingCast);
     }
     // v3 interprocedural analyses: active everywhere — reachability is
     // decided by the workspace call graph, so findings land wherever
@@ -154,30 +130,24 @@ mod tests {
     fn classification_covers_the_workspace_shapes() {
         let lib = classify("crates/cache/src/lru.rs").expect("lib module");
         assert_eq!(lib.crate_name, "cache");
-        assert!(!lib.is_bin && !lib.is_crate_root && !lib.is_test_file);
-
-        let root = classify("crates/serve/src/lib.rs").expect("crate root");
-        assert!(root.is_crate_root && !root.is_bin);
+        assert!(!lib.is_example && !lib.is_test_file);
 
         let bin = classify("crates/cli/src/bin/jouppi.rs").expect("bin root");
-        assert!(bin.is_bin && bin.is_crate_root);
-
-        let main = classify("crates/cli/src/main.rs").expect("main");
-        assert!(main.is_bin && main.is_crate_root);
+        assert_eq!(bin.crate_name, "cli");
+        assert!(!bin.is_example && !bin.is_test_file);
 
         let t = classify("crates/serve/tests/integration.rs").expect("test");
         assert!(t.is_test_file);
 
         let umbrella = classify("src/lib.rs").expect("umbrella root");
         assert_eq!(umbrella.crate_name, "jouppi");
-        assert!(umbrella.is_crate_root);
 
         let root_test = classify("tests/paper_claims.rs").expect("root test");
         assert!(root_test.is_test_file);
 
         let root_example = classify("examples/quickstart.rs").expect("root example");
         assert_eq!(root_example.crate_name, "jouppi");
-        assert!(root_example.is_example && root_example.is_bin);
+        assert!(root_example.is_example);
 
         let crate_example =
             classify("crates/workloads/examples/calibrate.rs").expect("crate example");
@@ -194,11 +164,10 @@ mod tests {
         let lints = lints_for(&sim);
         assert!(lints.contains(&LintId::AmbientTime));
         assert!(lints.contains(&LintId::DefaultHasher));
-        assert!(!lints.contains(&LintId::ServePanic));
+        assert!(!lints.contains(&LintId::RelaxedOrdering));
 
         let serve = classify("crates/serve/src/routes.rs").expect("serve module");
         let lints = lints_for(&serve);
-        assert!(lints.contains(&LintId::ServePanic));
         assert!(lints.contains(&LintId::RelaxedOrdering));
         assert!(!lints.contains(&LintId::AmbientTime));
 
@@ -210,11 +179,8 @@ mod tests {
         assert_eq!(
             lints,
             vec![
-                LintId::DebugPrint,
                 LintId::LockOrder,
                 LintId::BlockingUnderLock,
-                LintId::SwallowedResult,
-                LintId::TruncatingCast,
                 LintId::PanicReachability,
                 LintId::TransitivePurity,
                 LintId::UntrustedSizeTaint,
@@ -225,8 +191,8 @@ mod tests {
 
     #[test]
     fn relaxed_policy_for_tests_and_examples() {
-        // Sim-crate tests/examples: determinism lints only — no panic,
-        // print, blocking, or interprocedural lints.
+        // Sim-crate tests/examples: determinism lints only — no
+        // blocking or interprocedural lints.
         let sim_test = classify("crates/cache/tests/lru_backends.rs").expect("test");
         assert_eq!(
             lints_for(&sim_test),
@@ -261,9 +227,7 @@ mod tests {
         for lint in [
             LintId::LockOrder,
             LintId::BlockingUnderLock,
-            LintId::SwallowedResult,
             LintId::UnboundedGrowth,
-            LintId::TruncatingCast,
         ] {
             assert!(lints.contains(&lint), "serve should run {lint}");
         }
@@ -272,11 +236,8 @@ mod tests {
         let lints = lints_for(&sim);
         assert!(lints.contains(&LintId::LockOrder));
         assert!(!lints.contains(&LintId::UnboundedGrowth));
-        assert!(!lints.contains(&LintId::TruncatingCast));
 
         let exp = classify("crates/experiments/src/sweep.rs").expect("experiments");
-        let lints = lints_for(&exp);
-        assert!(lints.contains(&LintId::UnboundedGrowth));
-        assert!(lints.contains(&LintId::TruncatingCast));
+        assert!(lints_for(&exp).contains(&LintId::UnboundedGrowth));
     }
 }

@@ -3,26 +3,12 @@
 
 use jouppi_serve::json::Json;
 
-use crate::baseline::Ratchet;
 use crate::lint::ALL_LINTS;
 use crate::workspace::ScanResult;
 
-/// Baseline-ratchet status rendered into reports when `--baseline` is
-/// in effect.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineStatus<'a> {
-    /// The baseline file, as given on the command line.
-    pub path: &'a str,
-    /// Total grandfathered finding count in the baseline.
-    pub grandfathered: u64,
-    /// The scan-vs-baseline verdict.
-    pub ratchet: &'a Ratchet,
-}
-
 /// Human-readable report: one `file:line: [lint] message` line per
-/// finding plus summary lines (and the ratchet verdict, with a
-/// baseline).
-pub fn human(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> String {
+/// finding plus a summary line.
+pub fn human(result: &ScanResult) -> String {
     let mut out = String::new();
     for (path, finding) in result.findings() {
         out.push_str(&format!(
@@ -45,35 +31,13 @@ pub fn human(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Stri
             s = if n == 1 { "" } else { "s" }
         ));
     }
-    if let Some(b) = baseline {
-        for (file, lint, base, now) in &b.ratchet.new {
-            out.push_str(&format!(
-                "baseline: NEW {file} [{lint}] — {now} findings, baseline allows {base}; \
-                 fix them or suppress with a reasoned directive\n"
-            ));
-        }
-        for (file, lint, base, now) in &b.ratchet.stale {
-            out.push_str(&format!(
-                "baseline: STALE {file} [{lint}] — baseline grandfathers {base}, only {now} \
-                 remain; regenerate with --write-baseline to lock in the progress\n"
-            ));
-        }
-        out.push_str(&format!(
-            "jouppi-lint: baseline {path} — {g} grandfathered, {new} new, {stale} stale: {verdict}\n",
-            path = b.path,
-            g = b.grandfathered,
-            new = b.ratchet.new.len(),
-            stale = b.ratchet.stale.len(),
-            verdict = if b.ratchet.is_ok() { "ok" } else { "FAIL" },
-        ));
-    }
     out
 }
 
 /// Machine-readable report document (version 3: adds the `callgraph`
 /// section sizing the workspace call graph behind the interprocedural
 /// analyses).
-pub fn to_json(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Json {
+pub fn to_json(result: &ScanResult) -> Json {
     let findings: Vec<Json> = result
         .findings()
         .map(|(path, f)| {
@@ -103,29 +67,6 @@ pub fn to_json(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Js
                 ("resolved_edges", Json::Int(g.resolved_edges as i64)),
                 ("ambiguous_edges", Json::Int(g.ambiguous_edges as i64)),
                 ("external_calls", Json::Int(g.external_calls as i64)),
-            ]),
-        ));
-    }
-    if let Some(b) = baseline {
-        let entry = |(file, lint, base, now): &(String, String, u64, u64)| {
-            Json::obj([
-                ("file", Json::str(file.clone())),
-                ("lint", Json::str(lint.clone())),
-                ("baseline", Json::Int(*base as i64)),
-                ("current", Json::Int(*now as i64)),
-            ])
-        };
-        fields.push((
-            "baseline".to_owned(),
-            Json::obj([
-                ("path", Json::str(b.path)),
-                ("grandfathered", Json::Int(b.grandfathered as i64)),
-                ("new", Json::Arr(b.ratchet.new.iter().map(entry).collect())),
-                (
-                    "stale",
-                    Json::Arr(b.ratchet.stale.iter().map(entry).collect()),
-                ),
-                ("ok", Json::Bool(b.ratchet.is_ok())),
             ]),
         ));
     }
@@ -194,7 +135,7 @@ mod tests {
 
     #[test]
     fn human_report_lists_findings_and_summary() {
-        let text = human(&sample(), None);
+        let text = human(&sample());
         assert!(text.contains("crates/core/src/x.rs:7: [ambient-time]"));
         assert!(text.contains("1 finding in 2 files"));
         let clean = ScanResult {
@@ -205,17 +146,16 @@ mod tests {
             timings: Vec::new(),
             callgraph: None,
         };
-        assert!(human(&clean, None).contains("clean — 1 files, 0 findings"));
+        assert!(human(&clean).contains("clean — 1 files, 0 findings"));
     }
 
     #[test]
     fn json_report_round_trips() {
-        let doc = to_json(&sample(), None);
+        let doc = to_json(&sample());
         let parsed = Json::parse(&doc.encode()).expect("valid JSON");
         assert_eq!(parsed.get("clean"), Some(&Json::Bool(false)));
         assert_eq!(parsed.get("version"), Some(&Json::Int(3)));
         assert_eq!(parsed.get("files_scanned"), Some(&Json::Int(2)));
-        assert!(parsed.get("baseline").is_none());
         let findings = parsed
             .get("findings")
             .and_then(Json::as_arr)
@@ -228,46 +168,6 @@ mod tests {
         assert_eq!(g.get("resolved_edges"), Some(&Json::Int(30)));
         assert_eq!(g.get("ambiguous_edges"), Some(&Json::Int(2)));
         assert_eq!(g.get("external_calls"), Some(&Json::Int(9)));
-    }
-
-    #[test]
-    fn baseline_status_renders_in_both_formats() {
-        let ratchet = Ratchet {
-            new: vec![("a.rs".to_owned(), "swallowed-result".to_owned(), 1, 2)],
-            stale: vec![("b.rs".to_owned(), "truncating-cast".to_owned(), 2, 1)],
-        };
-        let status = BaselineStatus {
-            path: "lint-baseline.json",
-            grandfathered: 3,
-            ratchet: &ratchet,
-        };
-        let text = human(&sample(), Some(&status));
-        assert!(text.contains("baseline: NEW a.rs [swallowed-result]"));
-        assert!(text.contains("baseline: STALE b.rs [truncating-cast]"));
-        assert!(text.contains("1 new, 1 stale: FAIL"));
-
-        let doc = to_json(&sample(), Some(&status));
-        let parsed = Json::parse(&doc.encode()).expect("valid JSON");
-        let b = parsed.get("baseline").expect("baseline section");
-        assert_eq!(b.get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(b.get("grandfathered"), Some(&Json::Int(3)));
-        assert_eq!(
-            b.get("new").and_then(Json::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-        assert_eq!(
-            b.get("stale").and_then(Json::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-
-        // A clean ratchet reports ok even with grandfathered findings.
-        let ok = Ratchet::default();
-        let status = BaselineStatus {
-            path: "lint-baseline.json",
-            grandfathered: 3,
-            ratchet: &ok,
-        };
-        assert!(human(&sample(), Some(&status)).contains("0 new, 0 stale: ok"));
     }
 
     #[test]

@@ -127,6 +127,11 @@ impl Chart {
                 let cx = ((x - x0) / (x1 - x0) * (self.width - 1) as f64).round();
                 let cy = ((y - y0) / (y1 - y0) * (self.height - 1) as f64).round();
                 if cx >= 0.0 && cy >= 0.0 {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "cx and cy are rounded and non-negative; an out-of-range \
+                                  value saturates and fails the bounds check below"
+                    )]
                     let (cx, cy) = (cx as usize, cy as usize);
                     if cx < self.width && cy < self.height {
                         grid[self.height - 1 - cy][cx] = s.marker;

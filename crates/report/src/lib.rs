@@ -25,7 +25,7 @@
 //! assert!(text.contains("ccom"));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 mod bars;

@@ -26,7 +26,6 @@
 //! assert!(i.performance_fraction() > b.performance_fraction());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -28,7 +28,6 @@
 //! assert_eq!(refs[1].addr.line(16), jouppi_trace::LineAddr::new(0x800));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod access;

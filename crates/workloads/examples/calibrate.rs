@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release -p jouppi-workloads --example calibrate`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its table")]
+
 use jouppi_cache::{CacheGeometry, ClassifiedCache};
 use jouppi_trace::TraceSource;
 use jouppi_workloads::{Benchmark, Scale};

@@ -976,6 +976,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must be positive")]
     fn bad_weight_panics() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "`with` panics before returning a value"
+        )]
         let _ = Mixture::new().with(0.0, StridedSweep::new(0, 4, 16));
     }
 }

@@ -40,7 +40,6 @@
 //! assert_eq!(stats, again);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod benchmarks;

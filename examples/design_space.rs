@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example design_space`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use jouppi::cache::CacheGeometry;
 use jouppi::core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
 use jouppi::report::Table;

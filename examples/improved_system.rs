@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example improved_system`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use jouppi::report::{percent, Table};
 use jouppi::system::{SystemConfig, SystemModel};
 use jouppi::workloads::{Benchmark, Scale};

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use jouppi::cache::CacheGeometry;
 use jouppi::core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
 use jouppi::trace::TraceSource;

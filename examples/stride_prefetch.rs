@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --release --example stride_prefetch`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use jouppi::cache::CacheGeometry;
 use jouppi::core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
 use jouppi::report::Table;

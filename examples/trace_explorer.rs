@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example trace_explorer -- [bench]`.
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use jouppi::cache::{CacheGeometry, ClassifiedCache, StackDistanceProfile};
 use jouppi::report::Table;
 use jouppi::trace::TraceSource;

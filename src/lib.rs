@@ -37,7 +37,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use jouppi_cache as cache;
